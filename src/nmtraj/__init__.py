@@ -9,6 +9,7 @@ states one noise realization at a time.
 
 from .errors import (
     ConfigError,
+    DegenerateState,
     DegenerateWeights,
     NmtrajError,
     NotPositiveDefinite,
@@ -36,7 +37,6 @@ from .noise import (
     readout_prior,
     sample_pointer_prior,
     sample_readout_prior,
-    shift_argument,
 )
 from .quantum import (
     CouplingEigensystem,
@@ -46,7 +46,6 @@ from .quantum import (
     dephasing_qubit,
     eigendecompose_coupling,
     free_step,
-    purity,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -62,6 +61,7 @@ from .chain import (
     delayed_state,
     pointer_width_for,
     reduced_state,
+    reduced_states,
     vn_measure,
 )
 from .trajectories import (

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathBudgetExceeded
+from .errors import DegenerateState, PathBudgetExceeded
 from .kernels import KernelMatrix, TimeGrid
 from .noise import GaussianDensity, NoiseRecord, pointer_prior
 from .quantum import (
@@ -94,22 +94,20 @@ class SingleDetector:
             raise ValueError("sigma must be positive")
 
 
-def build_paths(model: ModelSpec, grid: TimeGrid, window: range,
-                path_budget: int = DEFAULT_PATH_BUDGET,
-                eigensystem: CouplingEigensystem | None = None) -> PathEnsemble:
-    """Enumerate eigenvalue histories with their vector amplitudes.
+def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, path_budget: int,
+                eig: CouplingEigensystem):
+    """Walk the history tree one step at a time, yielding the surviving
+    (amplitudes, histories) after 0, 1, ..., steps steps.
 
-    Raises PathBudgetExceeded when the number of surviving branches would
-    pass ``path_budget``; exact zero-amplitude branches are dropped, so
-    commuting models stay narrow at any depth.
+    Raises PathBudgetExceeded before a branching step whose branch count
+    would pass ``path_budget``; exact zero-amplitude branches are dropped.
     """
-    eig = eigensystem if eigensystem is not None else eigendecompose_coupling(model)
     U = free_step(model, grid.epsilon)
     m = eig.count
-    n = len(window)
     amps = model.initial_state[None, :].astype(complex)
     hist = np.zeros((1, 0), dtype=np.int8)
-    for _ in range(n):
+    yield amps, hist
+    for _ in range(steps):
         if amps.shape[0] * m > path_budget:
             raise PathBudgetExceeded(
                 f"{amps.shape[0]} surviving paths x {m} levels exceeds budget {path_budget}; "
@@ -123,9 +121,20 @@ def build_paths(model: ModelSpec, grid: TimeGrid, window: range,
         alive = np.einsum("pi,pi->p", new_amps, new_amps.conj()).real > 0.0
         amps = new_amps[alive]
         hist = new_hist[alive]
+        yield amps, hist
+
+
+def build_paths(model: ModelSpec, grid: TimeGrid, window: range,
+                path_budget: int = DEFAULT_PATH_BUDGET,
+                eigensystem: CouplingEigensystem | None = None) -> PathEnsemble:
+    """Enumerate the eigenvalue histories over ``window`` with their vector
+    amplitudes, by walking the history tree to the window's end."""
+    eig = eigensystem if eigensystem is not None else eigendecompose_coupling(model)
+    for amps, hist in _walk_paths(model, grid, len(window), path_budget, eig):
+        pass
     return PathEnsemble(window=window, histories=hist, amplitudes=amps,
                         eigenvalues=eig.eigenvalues,
-                        eigenvalue_sequences=eig.eigenvalues[hist.astype(int)].reshape(hist.shape))
+                        eigenvalue_sequences=eig.eigenvalues[hist.astype(int)])
 
 
 def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, pair_mat: np.ndarray):
@@ -136,9 +145,13 @@ def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, pair_mat: np.ndarra
 
     with a global exponent shift for stability.  Returns (num, trace, shift)
     where the true values are num * exp(shift) and trace * exp(shift).
+
+    Every chain state's pair-weight matrix is positive semidefinite (a rank-one
+    factor times exp(Xa S Xb) with S = A or a Schur complement of A), so its
+    largest entry lies on the diagonal and the shift bounds every exponent.
     """
     p, d = amps.shape
-    shift = float(2.0 * np.max(path_log) + max(np.max(pair_mat), 0.0)) if p else 0.0
+    shift = float(np.max(2.0 * path_log + np.diagonal(pair_mat))) if p else 0.0
     num = np.zeros((d, d), dtype=complex)
     trace = 0.0
     for lo in range(0, p, _PAIR_CHUNK):
@@ -150,9 +163,8 @@ def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, pair_mat: np.ndarra
     return num, trace, shift
 
 
-def _decoherence_pieces(paths: PathEnsemble, A_w: np.ndarray):
+def _decoherence_pieces(Xs: np.ndarray, A_w: np.ndarray):
     """Split -(Xa - Xb).A(Xa - Xb)/2 into per-path and cross terms."""
-    Xs = paths.eigenvalue_sequences
     XA = Xs @ A_w
     quad = np.einsum("pk,pk->p", Xs, XA)
     return -0.5 * quad, XA @ Xs.T  # per-path log, cross matrix
@@ -169,7 +181,7 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
     route numerically independent of the trajectory solver's direct
     exponents.
     """
-    path_log, cross = _decoherence_pieces(paths, A_w)
+    path_log, cross = _decoherence_pieces(paths.eigenvalue_sequences, A_w)
     if density.dim:
         u = density.precision_apply(values - density.mean)
         Z = density.precision_apply(centers.T).T
@@ -178,12 +190,20 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
         cross = cross - 0.5 * (centers @ Z.T + Z @ centers.T)
         path_log = path_log + lin - self_quad
     num, trace, shift = _pair_accumulate(paths.amplitudes, path_log, cross)
-    if not trace > 0.0:
-        raise ArithmeticError("conditional state has non-positive weight")
+    if not 0.0 < trace < np.inf:
+        raise DegenerateState(f"conditional state has weight {trace}; the record values "
+                              "are out of the range this path sum can represent")
     log_weight = density.logpdf(values) + float(np.log(trace)) + shift
     rho = DensityOperator.from_matrix(num)
     return ConditionalState(rho=rho, log_weight=log_weight, schedule=schedule,
                             window=paths.window)
+
+
+def _reduced(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray) -> DensityOperator:
+    """Double path sum with pairwise decoherence weights only."""
+    path_log, cross = _decoherence_pieces(Xs, A_w)
+    num, _, _ = _pair_accumulate(amps, path_log, cross)
+    return DensityOperator.from_matrix(num)
 
 
 def reduced_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -195,10 +215,18 @@ def reduced_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     """
     window = grid.window_before(t)
     paths = build_paths(model, grid, window, path_budget)
-    A_w = A.submatrix(window)
-    path_log, cross = _decoherence_pieces(paths, A_w)
-    num, trace, _ = _pair_accumulate(paths.amplitudes, path_log, cross)
-    return DensityOperator.from_matrix(num)
+    return _reduced(paths.amplitudes, paths.eigenvalue_sequences, A.submatrix(window))
+
+
+def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
+                   path_budget: int = DEFAULT_PATH_BUDGET) -> list[DensityOperator]:
+    """Open-system states at every grid time in (0, t], from one walk over
+    the history tree: entry k - 1 equals reduced_state at time k * epsilon."""
+    eig = eigendecompose_coupling(model)
+    # The whole walk runs first, so the path budget is checked before any pair sum.
+    prefixes = list(_walk_paths(model, grid, len(grid.window_before(t)), path_budget, eig))
+    return [_reduced(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(hist.shape[1])))
+            for amps, hist in prefixes[1:]]
 
 
 def conditional_state_readout(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,

@@ -26,7 +26,7 @@ from .chain import (
     conditional_state_pointer,
     conditional_state_readout,
     delayed_state,
-    reduced_state,
+    reduced_states,
 )
 from .errors import ConfigError, NmtrajError
 from .kernels import (
@@ -39,12 +39,7 @@ from .kernels import (
 )
 from .noise import NoiseRecord, sample_pointer_prior, sample_readout_prior
 from .quantum import ModelSpec, eigendecompose_coupling
-from .trajectories import (
-    ensemble_average,
-    mean_readout,
-    retarded_expectation,
-    solve_unnormalized,
-)
+from .trajectories import ensemble_average, mean_readout, solve_unnormalized
 
 _SCHEDULES = ("zero-delay", "delayed", "x-readout", "all-in-one")
 
@@ -294,31 +289,24 @@ def cmd_evolve(config: RunConfig) -> list[Path]:
     models additionally carry the closed-form off-diagonal oracle column."""
     model, grid = config.model, config.grid
     A = build_kernel_matrix(config.kernel, grid)
-    commuting = _is_commuting(model)
     gap = None
-    if commuting and model.dim == 2:
+    if _is_commuting(model) and model.dim == 2:
         eig = eigendecompose_coupling(model)
         if eig.count == 2:
             gap = float(eig.eigenvalues[1] - eig.eigenvalues[0])
     d = model.dim
-    header = ["t (time)"]
-    for i in range(d):
-        for j in range(d):
-            header.append(f"rho_re_{i}{j} (dimensionless)")
-            header.append(f"rho_im_{i}{j} (dimensionless)")
+    header = ["t (time)"] + [f"rho_{part}_{i}{j} (dimensionless)"
+                             for i in range(d) for j in range(d) for part in ("re", "im")]
     header.append("purity (dimensionless; tr rho^2)")
     header.append("dephasing_oracle_offdiag (dimensionless; commuting two-level models)")
     rho01_0 = abs(complex(np.outer(model.initial_state,
                                    model.initial_state.conj())[0, 1]))
     rows = []
-    for k in range(1, grid.n_steps + 1):
+    for k, rho in enumerate(reduced_states(model, A, grid, config.final_time), 1):
         t = k * grid.epsilon
-        rho = reduced_state(model, A, grid, t)
         row = [t]
-        for i in range(d):
-            for j in range(d):
-                row.append(float(rho.matrix[i, j].real))
-                row.append(float(rho.matrix[i, j].imag))
+        for v in rho.matrix.ravel():
+            row += [float(v.real), float(v.imag)]
         row.append(rho.purity)
         if gap is not None:
             decay = np.exp(-0.5 * gap ** 2 * float(np.sum(A.submatrix(grid.window_before(t)))))
@@ -336,15 +324,20 @@ def _load_record_values(path: str, expected: int) -> np.ndarray:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read record ({exc.strerror})") from None
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    try:
-        values = np.array([float(ln) for ln in lines])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: expected one float per line ({exc})") from None
+    values = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected one float per line ({exc})") from None
+            if not np.isfinite(values[-1]):
+                raise ConfigError(f"{path}:{lineno}: record value {line.strip()} is not finite")
     if len(values) != expected:
         raise ConfigError(
             f"{path}: record length {len(values)} does not match the window size {expected}")
-    return values
+    return np.array(values)
 
 
 def cmd_trajectory(config: RunConfig, z_file: str | None = None) -> list[Path]:
@@ -358,32 +351,24 @@ def cmd_trajectory(config: RunConfig, z_file: str | None = None) -> list[Path]:
     else:
         record = sample_readout_prior(
             window_matrix(A, window), 1, seed=config.seed)[0]
-    t_final = config.final_time
-    traj = solve_unnormalized(model, A, grid, t_final, record)
+    traj = solve_unnormalized(model, A, grid, config.final_time, record)
     X = model.coupling
     header = [
         "step (index)", "t (time)", "z (integrated readout)",
         "norm (state norm; dimensionless)",
     ]
-    for i in range(model.dim):
-        header.append(f"psi_re_{i} (dimensionless)")
-        header.append(f"psi_im_{i} (dimensionless)")
+    header += [f"psi_{part}_{i} (dimensionless)"
+               for i in range(model.dim) for part in ("re", "im")]
     header.append("coupling_expectation (dimensionless; <X> in the running state)")
     header.append("retarded_readout (integrated units; kernel row x conditional expectations)")
     rows = []
     for k in range(1, grid.n_steps + 1):
-        t = k * grid.epsilon
-        psi = traj.states[k]
-        norm = traj.norms[k]
+        psi, norm = traj.states[k], traj.norms[k]
         psin = psi / norm
-        sub_record = NoiseRecord(window=grid.window_before(t), values=record.values[:k])
-        sub_traj = solve_unnormalized(model, A, grid, t, sub_record)
-        row = [k, t, float(record.values[k - 1]), float(norm)]
-        for i in range(model.dim):
-            row.append(float(psi[i].real))
-            row.append(float(psi[i].imag))
-        row.append(float(np.real(psin.conj() @ X @ psin)))
-        row.append(retarded_expectation(sub_traj, A, grid))
+        row = [k, k * grid.epsilon, float(record.values[k - 1]), float(norm)]
+        for v in psi:
+            row += [float(v.real), float(v.imag)]
+        row += [float(np.real(psin.conj() @ X @ psin)), float(traj.retarded[k - 1])]
         rows.append(row)
     out = config.out_dir / "trajectory.csv"
     _write_csv(out, header, rows)

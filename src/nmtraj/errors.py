@@ -25,6 +25,11 @@ class DegenerateWeights(NmtrajError):
     sample size); the ensemble estimate would be unreliable."""
 
 
+class DegenerateState(NmtrajError, ValueError):
+    """A state's weight vanished, overflowed or stopped being finite, so it
+    cannot be normalized; typically the record values are out of range."""
+
+
 class ConfigError(NmtrajError):
     """A run configuration failed validation.  The message carries the
     offending field path (and line number for JSON syntax errors)."""

@@ -186,8 +186,3 @@ def sample_pointer_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRe
     values = 0.5 * np.linalg.solve(L.T, xi.T).T if A.size else xi
     return [NoiseRecord(window=A.window, values=values[i], kind="pointer")
             for i in range(count)]
-
-
-def shift_argument(density: GaussianDensity, shift: np.ndarray):
-    """Module-level alias for GaussianDensity.shift_log_ratio."""
-    return density.shift_log_ratio(shift)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateState
+
 HERMITIAN_TOL = 1e-12
 STATE_NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
@@ -97,8 +99,8 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         m = 0.5 * (m + m.conj().T)
         tr = np.trace(m).real
-        if not tr > 0.0:
-            raise ValueError(f"cannot normalize matrix with trace {tr}")
+        if not (tr > 0.0 and np.all(np.isfinite(m))):
+            raise DegenerateState(f"cannot normalize matrix with trace {tr}")
         return DensityOperator(matrix=m / tr)
 
     @staticmethod
@@ -149,10 +151,6 @@ def eigendecompose_coupling(model: ModelSpec) -> CouplingEigensystem:
         vecs[:, g] @ vecs[:, g].conj().T for g in groups
     ])
     return CouplingEigensystem(eigenvalues=eigenvalues, projectors=projectors)
-
-
-def purity(rho: DensityOperator) -> float:
-    return rho.purity
 
 
 def trace_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:

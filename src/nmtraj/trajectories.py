@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeights, PathBudgetExceeded
+from .errors import DegenerateState, DegenerateWeights
 from .kernels import KernelMatrix, TimeGrid, cholesky_factor, window_matrix
 from .noise import NoiseRecord, readout_prior, _generator
 from .quantum import DensityOperator, ModelSpec, eigendecompose_coupling, free_step
-from .chain import DEFAULT_PATH_BUDGET, build_paths
+from .chain import DEFAULT_PATH_BUDGET, _walk_paths, build_paths
 
 _STREAM_ENSEMBLE = 0x45
 _ENSEMBLE_CHUNK = 8192
@@ -55,13 +55,15 @@ class Trajectory:
     exact identity of the discrete weights (the bare operator transported to
     the final time differs at first order in the kernel weights for
     noncommuting models, and measurably fails the law); for commuting models
-    the two readings coincide.
+    the two readings coincide.  ``retarded[k - 1]`` is retarded_expectation
+    of the same record cut after k steps, taken from the same walk.
     """
 
     record: NoiseRecord
     states: np.ndarray            # (steps + 1, dim) complex
     norms: np.ndarray             # (steps + 1,)
     cond_expectations: np.ndarray  # (steps,)
+    retarded: np.ndarray          # (steps,)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -116,58 +118,44 @@ class MeanReadoutComparison:
         return abs(self.difference) / self.difference_se
 
 
-def _path_data(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, window: range,
-               values: np.ndarray, path_budget: int):
-    """Amplitudes, eigenvalue sequences, and log weights for one record."""
-    paths = build_paths(model, grid, window, path_budget)
-    A_w = A.submatrix(window)
-    Xs = paths.eigenvalue_sequences
-    logw = Xs @ values - np.einsum("pk,pk->p", Xs, Xs @ A_w)
-    return paths, logw
-
-
 def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
                        record: NoiseRecord,
                        path_budget: int = DEFAULT_PATH_BUDGET) -> Trajectory:
-    """Solve one noise realization over [0, t) by the exact path sum."""
+    """Solve one noise realization over [0, t) by the exact path sum, in one
+    walk over the grid that yields every prefix state and its retarded value.
+
+    Raises DegenerateState when a state norm overflows or vanishes.
+    """
     window = grid.window_before(t)
     if record.kind != "readout" or record.window != window:
         raise ValueError("expected a readout record on the window [0, t)")
     n = len(window)
     eig = eigendecompose_coupling(model)
-    U = free_step(model, grid.epsilon)
     A_w = A.submatrix(window)
     z = record.values
 
     states = np.empty((n + 1, model.dim), dtype=complex)
-    states[0] = model.initial_state
-    amps = model.initial_state[None, :].astype(complex)
-    Xs = np.zeros((1, 0))
-    m = eig.count
-    logw = np.zeros(1)
-    for k in range(n):
-        if amps.shape[0] * m > path_budget:
-            raise PathBudgetExceeded(
-                f"{amps.shape[0]} surviving paths x {m} levels exceeds budget {path_budget}")
-        evolved = amps @ U.T
-        branches = np.stack([evolved @ eig.projectors[a].T for a in range(m)], axis=1)
-        new_amps = branches.reshape(-1, model.dim)
-        new_X = np.concatenate(
-            [np.repeat(Xs, m, axis=0),
-             np.tile(eig.eigenvalues, amps.shape[0])[:, None]], axis=1)
-        alive = np.einsum("pi,pi->p", new_amps, new_amps.conj()).real > 0.0
-        amps, Xs = new_amps[alive], new_X[alive]
-        logw = Xs @ z[: k + 1] - np.einsum(
-            "pk,pk->p", Xs, Xs @ A_w[: k + 1, : k + 1])
-        states[k + 1] = np.exp(logw) @ amps
+    conds = []  # per prefix, conditional expectations times the squared norm
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the norms below
+        for k, (amps, hist) in enumerate(_walk_paths(model, grid, n, path_budget, eig)):
+            Xs = eig.eigenvalues[hist.astype(int)]
+            logw = Xs @ z[:k] - np.einsum("pk,pk->p", Xs, Xs @ A_w[:k, :k])
+            w = np.exp(logw)
+            states[k] = w @ amps
+            if k:
+                # <psi | d psi / d z_j> for every j < k, one dot product per row.
+                derivs = (w[:, None] * Xs).T @ amps
+                conds.append((states[k].conj() @ derivs[:, :, None])[:, 0].real)
 
     norms = np.linalg.norm(states, axis=1)
-    w = np.exp(logw)
-    psi = states[n]
-    cond = np.array([
-        float(np.real(psi.conj() @ ((w * Xs[:, j]) @ amps))) for j in range(n)
-    ]) / norms[n] ** 2
-    return Trajectory(record=record, states=states, norms=norms, cond_expectations=cond)
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        raise DegenerateState("trajectory state norm overflowed or vanished; the record "
+                              "values are out of the range this path sum can represent")
+    conds = [c / norms[k] ** 2 for k, c in enumerate(conds, 1)]
+    retarded = np.array([2.0 * A_w[k - 1, :k] @ c for k, c in enumerate(conds, 1)])
+    cond = conds[-1] if n else np.zeros(0)
+    return Trajectory(record=record, states=states, norms=norms, cond_expectations=cond,
+                      retarded=retarded)
 
 
 def readout_pdf(trajectory: Trajectory, A: KernelMatrix) -> float:
@@ -184,9 +172,10 @@ def readout_derivatives(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: fl
     readout component: differentiating the path weight inserts that step's
     eigenvalue into every path."""
     window = grid.window_before(t)
-    paths, logw = _path_data(model, A, grid, window, record.values, path_budget)
-    w = np.exp(logw)
-    return (paths.eigenvalue_sequences * w[:, None]).T @ paths.amplitudes
+    paths = build_paths(model, grid, window, path_budget)
+    Xs = paths.eigenvalue_sequences
+    w = np.exp(Xs @ record.values - np.einsum("pk,pk->p", Xs, Xs @ A.submatrix(window)))
+    return (Xs * w[:, None]).T @ paths.amplitudes
 
 
 def residual_check(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 import nmtraj as nt
 from nmtraj import DensityOperator, NoiseRecord
-from nmtraj.errors import PathBudgetExceeded
+from nmtraj.errors import DegenerateState, PathBudgetExceeded
 
 
 def _plus():
@@ -65,6 +67,32 @@ def test_build_paths_budget(default_model):
         nt.build_paths(default_model, grid, grid.full_window, path_budget=100)
 
 
+def _budget_calls(model, grid, budget):
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    rec = NoiseRecord(window=grid.full_window, values=np.zeros(grid.n_steps))
+    t = grid.n_steps * grid.epsilon
+    return {
+        "build_paths": lambda: nt.build_paths(model, grid, grid.full_window, budget),
+        "reduced_states": lambda: nt.reduced_states(model, A, grid, t, budget),
+        "solve_unnormalized": lambda: nt.solve_unnormalized(model, A, grid, t, rec, budget),
+    }
+
+
+@pytest.mark.parametrize("call", ["build_paths", "reduced_states", "solve_unnormalized"])
+def test_walk_budget_raises_before_branching(default_model, call):
+    # A 40-step noncommuting request (2^40 histories) stops at the branching
+    # step that would pass the budget, having held at most 2048 paths.
+    run = _budget_calls(default_model, nt.TimeGrid(epsilon=0.1, n_steps=40), 4000)[call]
+    tracemalloc.start()
+    try:
+        with pytest.raises(PathBudgetExceeded, match="^2048 surviving paths x 2 levels"):
+            run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------- reduced
 
 
@@ -100,6 +128,63 @@ def test_reduced_state_is_valid_density(default_model, A8, grid8):
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
+
+
+@pytest.mark.parametrize("strength", [1.0, 60.0])
+def test_reduced_state_strong_coupling_matches_unshifted_pair_sum(A8, grid8, strength):
+    # Every reduced-state pair exponent -(Xa - Xb).A(Xa - Xb)/2 is <= 0, so
+    # the plain double sum needs no shift; at coupling 60 a shift built from
+    # separate maxima used to underflow every weight.
+    model = nt.ModelSpec(dim=2, hamiltonian=nt.sigma_x(), coupling=strength * nt.sigma_z(),
+                         initial_state=np.array([1.0, 0.0], dtype=complex))
+    rho = nt.reduced_state(model, A8, grid8, 0.8)
+    paths = nt.build_paths(model, grid8, grid8.full_window)
+    delta = paths.eigenvalue_sequences[:, None, :] - paths.eigenvalue_sequences[None, :, :]
+    W = np.exp(-0.5 * np.einsum("abk,kl,abl->ab", delta, A8.entries, delta))
+    num = paths.amplitudes.T @ W @ paths.amplitudes.conj()
+    expected = num / np.trace(num).real
+    assert np.max(np.abs(rho.matrix - expected)) <= 1e-12
+    assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
+
+
+def _tabulated_setup(model):
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=8)
+    kernel = nt.TabulatedKernel(lags=(0.0, 0.1, 0.2), values=(0.5, 0.2, 0.0))
+    return model, grid, nt.build_kernel_matrix(kernel, grid)
+
+
+def _qutrit_setup():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    model = nt.ModelSpec(dim=3, hamiltonian=0.5 * (M + M.conj().T),
+                         coupling=np.diag([-1.0, 0.0, 1.0]),
+                         initial_state=np.array([1.0, 0.0, 0.0], dtype=complex))
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=6)
+    return model, grid, nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+
+
+@pytest.mark.parametrize("case", ["default", "dephasing", "qutrit", "tabulated"])
+def test_reduced_states_equal_per_time_reduced_state(case, default_model, A8, grid8):
+    model, grid, A = {
+        "default": lambda: (default_model, grid8, A8),
+        "dephasing": lambda: (nt.dephasing_qubit(omega=0.7), grid8, A8),
+        "qutrit": _qutrit_setup,
+        "tabulated": lambda: _tabulated_setup(default_model),
+    }[case]()
+    t = grid.n_steps * grid.epsilon
+    states = nt.reduced_states(model, A, grid, t)
+    assert len(states) == grid.n_steps
+    for k, rho in enumerate(states, 1):
+        expected = nt.reduced_state(model, A, grid, k * grid.epsilon)
+        assert np.array_equal(rho.matrix, expected.matrix)
+
+
+def test_reduced_states_stop_at_t(default_model, A8, grid8):
+    states = nt.reduced_states(default_model, A8, grid8, 0.3)
+    assert len(states) == 3
+    assert np.array_equal(states[-1].matrix,
+                          nt.reduced_state(default_model, A8, grid8, 0.3).matrix)
+    assert nt.reduced_states(default_model, A8, grid8, 0.0) == []
 
 
 # ------------------------------------------------------ pointer readout

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nmtraj as nt
-from nmtraj import cli
+from nmtraj import chain, cli
 from nmtraj.errors import ConfigError
 
 
@@ -142,6 +142,78 @@ def test_trajectory_zero_noise_zero_coupling_is_free(tmp_path):
     ncol = header.index("norm (state norm; dimensionless)")
     for row in rows:
         assert float(row[ncol]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_trajectory_rejects_non_finite_record(tmp_path, capsys):
+    zfile = tmp_path / "z.txt"
+    zfile.write_text("0.1\n\nnan\n" + "0.0\n" * 6)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json",
+                        output={"directory": str(out), "format": "csv"})
+    assert _run(["trajectory", "--config", cfg, "--z-source", "file",
+                 "--z-file", str(zfile)]) == 1
+    assert f"{zfile}:3: record value nan is not finite" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "detector"])
+def test_out_of_range_record_is_a_typed_error(tmp_path, capsys, command):
+    zfile = tmp_path / "z.txt"
+    zfile.write_text("1e308\n" * 8)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    argv = (["trajectory", "--z-source", "file", "--z-file", str(zfile)]
+            if command == "trajectory" else ["detector", "--record-file", str(zfile)])
+    assert _run([*argv, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "out of the range" in err
+    assert "Traceback" not in err
+
+
+def test_trajectory_solves_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return nt.solve_unnormalized(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_unnormalized", counting)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run(["trajectory", "--config", cfg, "--seed", "4"]) == 0
+    assert calls == [pytest.approx(0.8)]
+
+
+def test_evolve_walks_the_path_tree_once(tmp_path, monkeypatch):
+    walks = []
+    walk = chain._walk_paths
+
+    def counting(*args, **kwargs):
+        walks.append(args[2])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "_walk_paths", counting)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run(["evolve", "--config", cfg]) == 0
+    assert walks == [8]
+    _, rows = _read_csv(tmp_path / "out" / "evolve.csv")
+    assert len(rows) == 8
+
+
+def test_evolve_strong_coupling(tmp_path):
+    strong = {**_ZERO_COUPLING_MODEL,
+              "coupling": [[[60.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-60.0, 0.0]]]}
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", model=strong,
+                        output={"directory": str(out), "format": "csv"})
+    assert _run(["evolve", "--config", cfg]) == 0
+    header, rows = _read_csv(out / "evolve.csv")
+    assert len(rows) == 8
+    for row in rows:
+        values = {name.split(" ")[0]: float(v) for name, v in zip(header, row) if v}
+        assert values["rho_re_00"] + values["rho_re_11"] == pytest.approx(1.0, abs=1e-12)
+        assert 0.5 <= values["purity"] <= 1.0 + 1e-12
 
 
 def test_trajectory_record_length_mismatch(tmp_path, capsys):

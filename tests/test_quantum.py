@@ -97,3 +97,10 @@ def test_density_operator_validation():
         DensityOperator(matrix=np.array([[1.2, 0.0], [0.0, -0.2]]))
     normalized = DensityOperator.from_matrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
     assert normalized.trace == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((2, 2)), np.diag([np.inf, 1.0]),
+                                    np.array([[1.0, np.nan], [np.nan, 1.0]])])
+def test_from_matrix_degenerate_is_typed(matrix):
+    with pytest.raises(nt.DegenerateState), np.errstate(invalid="ignore"):
+        DensityOperator.from_matrix(matrix)

@@ -3,7 +3,7 @@ import pytest
 
 import nmtraj as nt
 from nmtraj import DensityOperator, NoiseRecord
-from nmtraj.errors import DegenerateWeights, PathBudgetExceeded
+from nmtraj.errors import DegenerateState, DegenerateWeights, PathBudgetExceeded
 from nmtraj.kernels import KernelMatrix
 
 
@@ -226,6 +226,54 @@ def test_retarded_requires_final_time(default_model, A8, grid8):
         nt.retarded_expectation(traj, A8, grid8, t=0.4)
     value = nt.retarded_expectation(traj, A8, grid8, t=0.8)
     assert np.isfinite(value)
+
+
+def _retarded_cases(default_model, A8, grid8):
+    tab_grid = nt.TimeGrid(epsilon=0.05, n_steps=10)
+    tab_kernel = nt.TabulatedKernel(lags=(0.0, 0.05, 0.1), values=(0.5, 0.2, 0.0))
+    return {
+        "default": (default_model, A8, grid8),
+        "dephasing": (nt.dephasing_qubit(omega=0.7), A8, grid8),
+        "tabulated": (default_model, nt.build_kernel_matrix(tab_kernel, tab_grid), tab_grid),
+    }
+
+
+@pytest.mark.parametrize("case", ["default", "dephasing", "tabulated"])
+def test_one_pass_retarded_matches_prefix_solves(case, default_model, A8, grid8):
+    model, A, grid = _retarded_cases(default_model, A8, grid8)[case]
+    n = grid.n_steps
+    for rec in nt.sample_readout_prior(A, 3, seed=18):
+        traj = nt.solve_unnormalized(model, A, grid, n * grid.epsilon, rec)
+        assert traj.retarded.shape == (n,)
+        for k in range(1, n + 1):
+            sub = NoiseRecord(window=range(0, k), values=rec.values[:k])
+            prefix = nt.solve_unnormalized(model, A, grid, k * grid.epsilon, sub)
+            assert np.array_equal(prefix.states, traj.states[: k + 1])
+            expected = nt.retarded_expectation(prefix, A, grid)
+            assert traj.retarded[k - 1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_one_pass_retarded_matches_readout_derivatives(default_model, A8, grid8):
+    # Independent route: conditional expectations from the chain's path
+    # enumeration and the exact readout derivatives of each prefix.
+    rec = nt.sample_readout_prior(A8, 1, seed=19)[0]
+    traj = nt.solve_unnormalized(default_model, A8, grid8, 0.8, rec)
+    for k in range(1, 9):
+        sub = NoiseRecord(window=range(0, k), values=rec.values[:k])
+        derivs = nt.readout_derivatives(default_model, A8, grid8, k * 0.1, sub)
+        psi = traj.states[k]
+        cond = (derivs @ psi.conj()).real / np.vdot(psi, psi).real
+        row = A8.entries[k - 1, :k]
+        scale = 2.0 * np.sum(np.abs(row))
+        assert abs(traj.retarded[k - 1] - 2.0 * row @ cond) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("value", [1e308, 1e4, -1e4])
+def test_solve_out_of_range_record_raises_degenerate_state(default_model, A8, grid8, value):
+    rec = NoiseRecord(window=grid8.full_window, values=np.full(8, value))
+    with pytest.raises(DegenerateState, match="norm overflowed or vanished"):
+        nt.solve_unnormalized(default_model, A8, grid8, 0.8, rec)
+    assert issubclass(DegenerateState, ValueError)
 
 
 # ------------------------------------------------------------- residuals
