@@ -20,13 +20,9 @@ from .kernels import (
     ExponentialKernel,
     KernelMatrix,
     MarkovDeltaKernel,
-    RestrictedInverse,
     TabulatedKernel,
     TimeGrid,
     build_kernel_matrix,
-    cholesky_factor,
-    restricted_inverse,
-    window_matrix,
 )
 from .noise import (
     GaussianDensity,

@@ -137,37 +137,29 @@ def build_paths(model: ModelSpec, grid: TimeGrid, window: range,
                         eigenvalue_sequences=eig.eigenvalues[hist.astype(int)])
 
 
-def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, pair_mat: np.ndarray):
-    """Accumulate the pairwise sums
+def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, left: np.ndarray,
+                     right: np.ndarray):
+    """Accumulate the pairwise sum
 
-        num   = sum_ab exp(e_a + e_b + K_ab) |v_a><v_b|
-        trace = sum_ab exp(e_a + e_b + K_ab) <v_b|v_a>
+        num = sum_ab exp(e_a + e_b + K_ab) |v_a><v_b|,   K_ab = left_a . right_b,
 
-    with a global exponent shift for stability.  Returns (num, trace, shift)
-    where the true values are num * exp(shift) and trace * exp(shift).
+    with a global exponent shift for stability, one row chunk of K at a time
+    so no array spans all path pairs.  Returns (num, trace, shift) where the
+    true values are num * exp(shift) and trace * exp(shift); trace = tr num
+    equals sum_ab exp(e_a + e_b + K_ab) <v_b|v_a>.
 
     Every chain state's pair-weight matrix is positive semidefinite (a rank-one
     factor times exp(Xa S Xb) with S = A or a Schur complement of A), so its
     largest entry lies on the diagonal and the shift bounds every exponent.
     """
     p, d = amps.shape
-    shift = float(np.max(2.0 * path_log + np.diagonal(pair_mat))) if p else 0.0
+    shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", left, right))) if p else 0.0
     num = np.zeros((d, d), dtype=complex)
-    trace = 0.0
     for lo in range(0, p, _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, p)
-        W = np.exp(path_log[lo:hi, None] + path_log[None, :] + pair_mat[lo:hi, :] - shift)
+        W = np.exp(path_log[lo:hi, None] + path_log[None, :] + left[lo:hi] @ right.T - shift)
         num += amps[lo:hi].T @ (W @ amps.conj())
-        gram = amps[lo:hi] @ amps.conj().T
-        trace += float(np.sum(W * gram).real)
-    return num, trace, shift
-
-
-def _decoherence_pieces(Xs: np.ndarray, A_w: np.ndarray):
-    """Split -(Xa - Xb).A(Xa - Xb)/2 into per-path and cross terms."""
-    XA = Xs @ A_w
-    quad = np.einsum("pk,pk->p", Xs, XA)
-    return -0.5 * quad, XA @ Xs.T  # per-path log, cross matrix
+    return num, float(np.trace(num).real), shift
 
 
 def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
@@ -181,15 +173,18 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
     route numerically independent of the trajectory solver's direct
     exponents.
     """
-    path_log, cross = _decoherence_pieces(paths.eigenvalue_sequences, A_w)
+    Xs = paths.eigenvalue_sequences
+    XA = Xs @ A_w
+    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA)
+    left, right = XA, Xs
     if density.dim:
         u = density.precision_apply(values - density.mean)
         Z = density.precision_apply(centers.T).T
-        lin = centers @ u
-        self_quad = 0.5 * np.einsum("pk,pk->p", centers, Z)
-        cross = cross - 0.5 * (centers @ Z.T + Z @ centers.T)
-        path_log = path_log + lin - self_quad
-    num, trace, shift = _pair_accumulate(paths.amplitudes, path_log, cross)
+        path_log = path_log + centers @ u - 0.5 * np.einsum("pk,pk->p", centers, Z)
+        # Cross term Xa.A.Xb - (Ca.Zb + Za.Cb) / 2 as one inner product.
+        left = np.hstack([XA, -0.5 * centers, -0.5 * Z])
+        right = np.hstack([Xs, Z, centers])
+    num, trace, shift = _pair_accumulate(paths.amplitudes, path_log, left, right)
     if not 0.0 < trace < np.inf:
         raise DegenerateState(f"conditional state has weight {trace}; the record values "
                               "are out of the range this path sum can represent")
@@ -200,9 +195,10 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
 
 
 def _reduced(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray) -> DensityOperator:
-    """Double path sum with pairwise decoherence weights only."""
-    path_log, cross = _decoherence_pieces(Xs, A_w)
-    num, _, _ = _pair_accumulate(amps, path_log, cross)
+    """Double path sum with pairwise decoherence weights
+    exp(-(Xa - Xb).A(Xa - Xb)/2), split into per-path and cross terms."""
+    XA = Xs @ A_w
+    num, _, _ = _pair_accumulate(amps, -0.5 * np.einsum("pk,pk->p", Xs, XA), XA, Xs)
     return DensityOperator.from_matrix(num)
 
 

@@ -31,11 +31,11 @@ from .chain import (
 from .errors import ConfigError, NmtrajError
 from .kernels import (
     ExponentialKernel,
+    KernelMatrix,
     MarkovDeltaKernel,
     TabulatedKernel,
     TimeGrid,
     build_kernel_matrix,
-    window_matrix,
 )
 from .noise import NoiseRecord, sample_pointer_prior, sample_readout_prior
 from .quantum import ModelSpec, eigendecompose_coupling
@@ -69,7 +69,6 @@ class RunConfig:
     n_samples: int
     seed: int
     out_dir: Path
-    out_format: str
     raw: dict
 
     @property
@@ -204,11 +203,6 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     _expect(isinstance(delay, (int, float)) and delay >= 0, "schedule.delay",
             "expected a non-negative number")
     delay = float(delay)
-    if schedule == "delayed":
-        steps = delay / eps
-        _expect(abs(steps - round(steps)) < 1e-9, "schedule.delay",
-                f"must be a multiple of grid.epsilon={eps}")
-        _expect(delay < eps * n_steps, "schedule.delay", "must be smaller than the run length")
     readout_time = sblock.get("t")
     if readout_time is not None:
         _expect(isinstance(readout_time, (int, float)) and readout_time > 0,
@@ -219,6 +213,13 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
                 f"must be a multiple of grid.epsilon={eps}")
         _expect(readout_time <= eps * n_steps, "schedule.t",
                 "must not exceed the grid length")
+    if schedule == "delayed":
+        steps = delay / eps
+        _expect(abs(steps - round(steps)) < 1e-9, "schedule.delay",
+                f"must be a multiple of grid.epsilon={eps}")
+        read_at = readout_time if readout_time is not None else eps * n_steps
+        _expect(delay < read_at, "schedule.delay",
+                f"must be smaller than the readout time {read_at} (schedule.t, else the run length)")
 
     pblock = raw.get("sampling")
     _expect(isinstance(pblock, dict), "sampling", "expected an object")
@@ -234,12 +235,11 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     directory = oblock.get("directory")
     _expect(isinstance(directory, str) and directory, "output.directory",
             "expected a non-empty string")
-    out_format = oblock.get("format", "csv")
-    _expect(out_format == "csv", "output.format", "only 'csv' is supported")
+    _expect(oblock.get("format", "csv") == "csv", "output.format", "only 'csv' is supported")
 
     return RunConfig(model=model, kernel=kernel, grid=grid, schedule=schedule,
                      delay=delay, readout_time=readout_time, n_samples=n_samples,
-                     seed=seed, out_dir=Path(directory), out_format=out_format, raw=raw)
+                     seed=seed, out_dir=Path(directory), raw=raw)
 
 
 def _fmt(x) -> str:
@@ -349,8 +349,7 @@ def cmd_trajectory(config: RunConfig, z_file: str | None = None) -> list[Path]:
         values = _load_record_values(z_file, len(window))
         record = NoiseRecord(window=window, values=values)
     else:
-        record = sample_readout_prior(
-            window_matrix(A, window), 1, seed=config.seed)[0]
+        record = sample_readout_prior(A, 1, seed=config.seed)[0]
     traj = solve_unnormalized(model, A, grid, config.final_time, record)
     X = model.coupling
     header = [
@@ -434,7 +433,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
             values = _load_record_values(record_file, len(read))
         else:
             values = sample_readout_prior(
-                window_matrix(A, read), 1, seed=config.seed)[0].values
+                KernelMatrix(read, A.submatrix(read)), 1, seed=config.seed)[0].values
         record = NoiseRecord(window=read, values=values, schedule="delayed",
                              delay=config.delay)
         state = delayed_state(model, A, grid, t, config.delay, record)
@@ -444,7 +443,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
             values = _load_record_values(record_file, len(window))
         else:
             values = sample_readout_prior(
-                window_matrix(A, window), 1, seed=config.seed)[0].values
+                KernelMatrix(window, A.submatrix(window)), 1, seed=config.seed)[0].values
         record = NoiseRecord(window=window, values=values, schedule=schedule)
         state = conditional_state_readout(model, A, grid, t, record)
     payload = {
@@ -507,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
         if name == "trajectory":
-            p.add_argument("--z-source", choices=("sample", "file"), default="sample")
-            p.add_argument("--z-file", type=str, default=None)
+            p.add_argument("--z-file", type=str, default=None,
+                           help="readout record, one value per line (default: sampled)")
         if name == "detector":
             p.add_argument("--record-file", type=str, default=None)
     return parser
@@ -523,10 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evolve":
             outputs = cmd_evolve(config)
         elif args.command == "trajectory":
-            z_file = args.z_file if args.z_source == "file" else None
-            if args.z_source == "file" and z_file is None:
-                raise ConfigError("--z-file: required when --z-source=file")
-            outputs = cmd_trajectory(config, z_file)
+            outputs = cmd_trajectory(config, args.z_file)
         elif args.command == "ensemble":
             outputs = cmd_ensemble(config)
         elif args.command == "detector":

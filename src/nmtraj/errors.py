@@ -10,7 +10,8 @@ class NotPositiveDefinite(NmtrajError):
 
 
 class SingularWindow(NmtrajError):
-    """A window submatrix is too ill-conditioned to invert reliably."""
+    """A window covariance is indefinite, is singular where its density or
+    precision is needed, or is too ill-conditioned to invert reliably."""
 
 
 class PathBudgetExceeded(NmtrajError):

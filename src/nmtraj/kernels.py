@@ -19,11 +19,11 @@ lattice rule delta(0) -> 1/epsilon, giving A = epsilon * g**2 * I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularWindow
+from .errors import NotPositiveDefinite
 
 #: Relative tolerance on the smallest eigenvalue of a kernel matrix.
 PSD_RTOL = 1e-12
@@ -135,8 +135,6 @@ class KernelMatrix:
 
     window: range
     entries: np.ndarray
-    min_eigenvalue: float
-    norm: float = field(default=0.0)
 
     @property
     def size(self) -> int:
@@ -156,20 +154,6 @@ class KernelMatrix:
     def block(self, rows: range, cols: range) -> np.ndarray:
         """Rectangular block, e.g. the coupling between read and unread steps."""
         return self.entries[np.ix_(self._relative(rows), self._relative(cols))]
-
-
-@dataclass(frozen=True)
-class RestrictedInverse:
-    """Inverse of the window submatrix of a kernel matrix.
-
-    This is the precision matrix of the readout marginal on that window:
-    restricting the Gaussian to a window keeps the covariance submatrix, so
-    its precision is the inverse of the restricted kernel, not the
-    restriction of the full inverse.
-    """
-
-    window: range
-    entries: np.ndarray
 
 
 def build_kernel_matrix(kernel, grid: TimeGrid, window: range | None = None) -> KernelMatrix:
@@ -193,8 +177,7 @@ def build_kernel_matrix(kernel, grid: TimeGrid, window: range | None = None) -> 
         lag = eps * np.abs(idx[:, None] - idx[None, :])
         entries = eps ** 2 * kernel.alpha(lag)
     if n == 0:
-        return KernelMatrix(window=window, entries=entries.reshape(0, 0),
-                            min_eigenvalue=0.0, norm=0.0)
+        return KernelMatrix(window=window, entries=entries.reshape(0, 0))
     eigs = np.linalg.eigvalsh(entries)
     norm = float(np.max(np.abs(eigs)))
     min_eig = float(eigs[0])
@@ -202,78 +185,4 @@ def build_kernel_matrix(kernel, grid: TimeGrid, window: range | None = None) -> 
         raise NotPositiveDefinite(
             f"kernel matrix has eigenvalue {min_eig:.3e} below -{PSD_RTOL:.0e} * norm "
             f"({norm:.3e}); the kernel is not positive semidefinite")
-    return KernelMatrix(window=window, entries=entries, min_eigenvalue=min_eig, norm=norm)
-
-
-def window_matrix(A: KernelMatrix, window: range) -> KernelMatrix:
-    """KernelMatrix restricted to a sub-window of an existing matrix."""
-    sub = A.submatrix(window)
-    if len(window) == 0:
-        return KernelMatrix(window=window, entries=sub, min_eigenvalue=0.0, norm=0.0)
-    eigs = np.linalg.eigvalsh(sub)
-    return KernelMatrix(window=window, entries=sub, min_eigenvalue=float(eigs[0]),
-                        norm=float(np.max(np.abs(eigs))))
-
-
-def restricted_inverse(A: KernelMatrix, window: range) -> RestrictedInverse:
-    """Invert the window submatrix of A, verifying the residual.
-
-    Raises SingularWindow when the submatrix is not strictly positive
-    definite, its condition number exceeds CONDITION_CAP, or the inverse
-    cannot be refined to the demanded residual.
-    """
-    sub = A.submatrix(window)
-    n = sub.shape[0]
-    if n == 0:
-        return RestrictedInverse(window=window, entries=sub.reshape(0, 0))
-    eigs = np.linalg.eigvalsh(sub)
-    if eigs[0] <= 0.0:
-        raise SingularWindow(
-            f"window submatrix is not strictly positive definite (min eig {eigs[0]:.3e})")
-    cond = eigs[-1] / eigs[0]
-    if cond > CONDITION_CAP:
-        raise SingularWindow(
-            f"window submatrix condition number {cond:.3e} exceeds {CONDITION_CAP:.0e}")
-    inv = np.linalg.solve(sub, np.eye(n))
-    # A couple of Newton refinements push the residual to the demanded level
-    # even for moderately ill-conditioned windows.
-    for _ in range(2):
-        resid = np.eye(n) - sub @ inv
-        if np.max(np.abs(resid)) <= INVERSE_RTOL:
-            break
-        inv = inv + inv @ resid
-    resid = np.max(np.abs(np.eye(n) - sub @ inv))
-    if resid > INVERSE_RTOL:
-        raise SingularWindow(
-            f"inverse residual {resid:.3e} exceeds {INVERSE_RTOL:.0e}")
-    inv = 0.5 * (inv + inv.T)
-    return RestrictedInverse(window=window, entries=inv)
-
-
-def cholesky_factor(A: KernelMatrix) -> np.ndarray:
-    """Lower-triangular L with L @ L.T reproducing A's entries.
-
-    A positive-semidefinite but singular matrix receives a relative diagonal
-    jitter of PSD_RTOL before factoring.  The reconstruction is verified to
-    INVERSE_RTOL relative accuracy.
-    """
-    entries = A.entries
-    n = entries.shape[0]
-    if n == 0:
-        return entries.reshape(0, 0)
-    if A.norm == 0.0:
-        return np.zeros_like(entries)
-    try:
-        L = np.linalg.cholesky(entries)
-    except np.linalg.LinAlgError:
-        jittered = entries + (PSD_RTOL * A.norm) * np.eye(n)
-        try:
-            L = np.linalg.cholesky(jittered)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                "Cholesky factorization failed even with diagonal jitter") from exc
-    resid = np.max(np.abs(L @ L.T - entries))
-    if resid > INVERSE_RTOL * max(A.norm, 1e-300):
-        raise NotPositiveDefinite(
-            f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance")
-    return L
+    return KernelMatrix(window=window, entries=entries)

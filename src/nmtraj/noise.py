@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularWindow
-from .kernels import KernelMatrix, cholesky_factor, restricted_inverse
+from .kernels import CONDITION_CAP, INVERSE_RTOL, PSD_RTOL, KernelMatrix
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -40,6 +40,10 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 class GaussianDensity:
     """Multivariate normal over a grid window, evaluated via Cholesky.
 
+    This is the package's one factorization of a window covariance.  A
+    singular positive-semidefinite covariance is factored with a diagonal
+    jitter of PSD_RTOL times its spectral norm, so it can still be sampled,
+    but its density and precision do not exist and raise SingularWindow.
     The mode (the mean) maximizes the log-density; marginals keep the
     covariance submatrix.
     """
@@ -49,6 +53,7 @@ class GaussianDensity:
     covariance: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
     _log_norm: float = field(init=False, repr=False)
+    _singular: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -56,21 +61,39 @@ class GaussianDensity:
         n = len(self.window)
         if self.mean.shape != (n,) or self.covariance.shape != (n, n):
             raise ValueError("mean/covariance shapes do not match the window")
+        self._singular = False
+        self._log_norm = 0.0
         if n == 0:
             self._chol = self.covariance.reshape(0, 0)
-            self._log_norm = 0.0
             return
         try:
             self._chol = np.linalg.cholesky(self.covariance)
+            scale = float(np.max(np.diagonal(self.covariance)))  # <= the spectral norm
         except np.linalg.LinAlgError as exc:
-            raise SingularWindow("covariance is not positive definite") from exc
-        self._log_norm = -float(np.sum(np.log(np.diag(self._chol)))) - 0.5 * n * _LOG_2PI
+            # Singular PSD (or indefinite, which the jittered factor still rejects).
+            self._singular = True
+            scale = float(np.max(np.abs(np.linalg.eigvalsh(self.covariance))))
+            try:
+                self._chol = (np.linalg.cholesky(self.covariance + (PSD_RTOL * scale) * np.eye(n))
+                              if scale else np.zeros_like(self.covariance))
+            except np.linalg.LinAlgError:
+                raise SingularWindow("covariance is not positive definite") from exc
+        resid = float(np.max(np.abs(self._chol @ self._chol.T - self.covariance)))
+        if resid > INVERSE_RTOL * scale:
+            raise SingularWindow(f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance")
+        if not self._singular:
+            self._log_norm = -float(np.sum(np.log(np.diag(self._chol)))) - 0.5 * n * _LOG_2PI
+
+    def _require_definite(self):
+        if self._singular:
+            raise SingularWindow("covariance is not positive definite")
 
     @property
     def dim(self) -> int:
         return len(self.window)
 
     def logpdf(self, values: np.ndarray) -> float:
+        self._require_definite()
         if self.dim == 0:
             return 0.0
         u = np.linalg.solve(self._chol, np.asarray(values, dtype=float) - self.mean)
@@ -78,6 +101,7 @@ class GaussianDensity:
 
     def precision_apply(self, vectors: np.ndarray) -> np.ndarray:
         """Sigma^{-1} @ vectors for a vector or a stack of column vectors."""
+        self._require_definite()
         if self.dim == 0:
             return np.asarray(vectors, dtype=float)
         y = np.linalg.solve(self._chol, np.asarray(vectors, dtype=float))
@@ -144,9 +168,28 @@ def readout_prior(A: KernelMatrix) -> GaussianDensity:
 
 
 def pointer_prior(A: KernelMatrix) -> GaussianDensity:
-    """Zero-mean Gaussian over pointer records with precision 4*A."""
-    inv = restricted_inverse(A, A.window).entries
-    return GaussianDensity(window=A.window, mean=np.zeros(A.size), covariance=0.25 * inv)
+    """Zero-mean Gaussian over pointer records with precision 4*A.
+
+    A^{-1} comes from the readout prior's precision solves.  Raises
+    SingularWindow when A is not strictly positive definite, its condition
+    number exceeds CONDITION_CAP, or the inverse misses INVERSE_RTOL.
+    """
+    n = A.size
+    if n:
+        eigs = np.linalg.eigvalsh(A.entries)
+        if eigs[0] <= 0.0:
+            raise SingularWindow(
+                f"window submatrix is not strictly positive definite (min eig {eigs[0]:.3e})")
+        cond = eigs[-1] / eigs[0]
+        if cond > CONDITION_CAP:
+            raise SingularWindow(
+                f"window submatrix condition number {cond:.3e} exceeds {CONDITION_CAP:.0e}")
+    inv = readout_prior(A).precision_apply(np.eye(n))
+    resid = float(np.max(np.abs(np.eye(n) - A.entries @ inv), initial=0.0))
+    if resid > INVERSE_RTOL:
+        raise SingularWindow(f"inverse residual {resid:.3e} exceeds {INVERSE_RTOL:.0e}")
+    # Symmetrized A^{-1}, times 1/4.
+    return GaussianDensity(window=A.window, mean=np.zeros(n), covariance=0.125 * (inv + inv.T))
 
 
 def readout_logdensity(record: NoiseRecord, A: KernelMatrix) -> float:
@@ -169,19 +212,15 @@ def pointer_logdensity(record: NoiseRecord, A: KernelMatrix) -> float:
 
 def sample_readout_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRecord]:
     """Draw readout records from the window prior; deterministic in seed."""
-    L = cholesky_factor(A)
-    rng = _generator(seed, _STREAM_READOUT)
-    xi = rng.standard_normal((count, A.size))
-    values = xi @ L.T
+    values = readout_prior(A).sample(count, _generator(seed, _STREAM_READOUT))
     return [NoiseRecord(window=A.window, values=values[i], kind="readout")
             for i in range(count)]
 
 
 def sample_pointer_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRecord]:
     """Draw raw pointer records (covariance A^{-1}/4); deterministic in seed."""
-    L = cholesky_factor(A)
-    rng = _generator(seed, _STREAM_POINTER)
-    xi = rng.standard_normal((count, A.size))
+    L = readout_prior(A)._chol
+    xi = _generator(seed, _STREAM_POINTER).standard_normal((count, A.size))
     # x = L^{-T} xi / 2 has covariance (L L^T)^{-1} / 4 = A^{-1} / 4.
     values = 0.5 * np.linalg.solve(L.T, xi.T).T if A.size else xi
     return [NoiseRecord(window=A.window, values=values[i], kind="pointer")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateState, DegenerateWeights
-from .kernels import KernelMatrix, TimeGrid, cholesky_factor, window_matrix
+from .kernels import KernelMatrix, TimeGrid
 from .noise import NoiseRecord, readout_prior, _generator
 from .quantum import DensityOperator, ModelSpec, eigendecompose_coupling, free_step
 from .chain import DEFAULT_PATH_BUDGET, _walk_paths, build_paths
@@ -161,7 +161,7 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
 def readout_pdf(trajectory: Trajectory, A: KernelMatrix) -> float:
     """Log density of the trajectory's record: window prior plus log |Psi|^2."""
     window = trajectory.record.window
-    prior = readout_prior(window_matrix(A, window))
+    prior = readout_prior(KernelMatrix(window, A.submatrix(window)))
     return prior.logpdf(trajectory.record.values) + 2.0 * float(np.log(trajectory.norms[-1]))
 
 
@@ -237,11 +237,11 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
         raise ValueError("n_samples must be at least 100")
     window = grid.window_before(t)
     n = len(window)
-    A_w = window_matrix(A, window)
-    L = cholesky_factor(A_w)
+    A_w = A.submatrix(window)
+    prior = readout_prior(KernelMatrix(window, A_w))
     paths = build_paths(model, grid, window, path_budget)
     Xs = paths.eigenvalue_sequences
-    quad = np.einsum("pk,pk->p", Xs, Xs @ A_w.entries)
+    quad = np.einsum("pk,pk->p", Xs, Xs @ A_w)
 
     rng = _generator(seed, _STREAM_ENSEMBLE)
     d = model.dim
@@ -252,8 +252,7 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     num = np.zeros((d, d), dtype=complex)
     for lo in range(0, n_samples, _ENSEMBLE_CHUNK):
         hi = min(lo + _ENSEMBLE_CHUNK, n_samples)
-        xi = rng.standard_normal((hi - lo, n))
-        z = xi @ L.T
+        z = prior.sample(hi - lo, rng)
         z_all[lo:hi] = z
         W = np.exp(z @ Xs.T - quad[None, :])
         psi = W @ paths.amplitudes

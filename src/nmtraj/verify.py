@@ -305,8 +305,8 @@ def criterion_gaussian_machinery(seed: int, est_bundle=None) -> dict:
     probe = marginal.sample(10, rng)
     closure = max(abs(direct.logpdf(p) - marginal.logpdf(p)) for p in probe)
 
-    inv = kernels.restricted_inverse(A, sub)
-    resid = float(np.max(np.abs(A.submatrix(sub) @ inv.entries - np.eye(len(sub)))))
+    inv = marginal.precision_apply(np.eye(len(sub)))
+    resid = float(np.max(np.abs(A.submatrix(sub) @ inv - np.eye(len(sub)))))
 
     if est_bundle is None:
         est_bundle = _shared_ensemble(seed)

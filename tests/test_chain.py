@@ -93,6 +93,22 @@ def test_walk_budget_raises_before_branching(default_model, call):
     assert peak < 4 * 2 ** 20
 
 
+def test_pair_sum_holds_no_full_pair_array(default_model):
+    # 11 steps give 2048 paths, so one float array over all path pairs is
+    # 32 MiB; the pair sum builds its exponents one row chunk at a time.
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=11)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    rec = nt.sample_readout_prior(A, 1, seed=3)[0]
+    tracemalloc.start()
+    try:
+        state = nt.conditional_state_readout(default_model, A, grid, 1.1, rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.rho.purity == pytest.approx(1.0, abs=1e-10)
+    assert peak < 64 * 2 ** 20
+
+
 # ---------------------------------------------------------------- reduced
 
 
@@ -302,7 +318,7 @@ def test_readout_unraveling_by_quadrature(default_model, steps):
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     t = 0.1 * steps
     window = grid.window_before(t)
-    prior = nt.readout_prior(nt.window_matrix(A, window))
+    prior = nt.readout_prior(nt.KernelMatrix(window, A.submatrix(window)))
     pts, wts = _gh_points(np.zeros(steps), A.submatrix(window), order=20)
     acc = np.zeros((2, 2), dtype=complex)
     total = 0.0
@@ -367,7 +383,7 @@ def test_delayed_statistics_frozen_bound(default_model):
     rate, delay, t = 100.0, 0.1, 0.8
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
     read = grid.window_before(t - delay)
-    records = nt.sample_readout_prior(nt.window_matrix(A, read), 50, seed=31)
+    records = nt.sample_readout_prior(nt.KernelMatrix(read, A.submatrix(read)), 50, seed=31)
     gaps = []
     for rec in records:
         delayed = nt.delayed_state(default_model, A, grid, t, delay, rec)
@@ -382,7 +398,7 @@ def test_delayed_state_partial_average_identity(default_model, A8, grid8):
     # readout density reproduces the delayed state.
     t, delay = 0.8, 0.2
     read = grid8.window_before(t - delay)
-    rec = nt.sample_readout_prior(nt.window_matrix(A8, read), 1, seed=12)[0]
+    rec = nt.sample_readout_prior(nt.KernelMatrix(read, A8.submatrix(read)), 1, seed=12)[0]
     delayed = nt.delayed_state(default_model, A8, grid8, t, delay, rec)
 
     window = grid8.window_before(t)

@@ -113,8 +113,7 @@ def test_trajectory_from_file_and_retarded_column(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.json",
                         output={"directory": str(out), "format": "csv"})
-    assert _run(["trajectory", "--config", cfg, "--z-source", "file",
-                 "--z-file", str(zfile)]) == 0
+    assert _run(["trajectory", "--config", cfg, "--z-file", str(zfile)]) == 0
     header, rows = _read_csv(out / "trajectory.csv")
     zcol = header.index("z (integrated readout)")
     retcol = header.index(
@@ -130,14 +129,27 @@ def test_trajectory_from_file_and_retarded_column(tmp_path):
         nt.retarded_expectation(traj, A, config.grid), rel=1e-12)
 
 
+def test_trajectory_z_file_alone_is_the_record(tmp_path):
+    zfile = tmp_path / "z.txt"
+    values = [0.01 * k for k in range(8)]
+    zfile.write_text("\n".join(repr(v) for v in values))
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json",
+                        output={"directory": str(out), "format": "csv"})
+    assert _run(["trajectory", "--config", cfg, "--z-file", str(zfile)]) == 0
+    _, rows = _read_csv(out / "trajectory_record.csv")
+    assert [float(r[0]) for r in rows] == values
+    with pytest.raises(SystemExit):
+        _run(["trajectory", "--config", cfg, "--z-source", "file", "--z-file", str(zfile)])
+
+
 def test_trajectory_zero_noise_zero_coupling_is_free(tmp_path):
     zfile = tmp_path / "z.txt"
     zfile.write_text("\n".join(["0.0"] * 8))
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.json", model=_ZERO_COUPLING_MODEL,
                         output={"directory": str(out), "format": "csv"})
-    assert _run(["trajectory", "--config", cfg, "--z-source", "file",
-                 "--z-file", str(zfile)]) == 0
+    assert _run(["trajectory", "--config", cfg, "--z-file", str(zfile)]) == 0
     header, rows = _read_csv(out / "trajectory.csv")
     ncol = header.index("norm (state norm; dimensionless)")
     for row in rows:
@@ -150,8 +162,7 @@ def test_trajectory_rejects_non_finite_record(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.json",
                         output={"directory": str(out), "format": "csv"})
-    assert _run(["trajectory", "--config", cfg, "--z-source", "file",
-                 "--z-file", str(zfile)]) == 1
+    assert _run(["trajectory", "--config", cfg, "--z-file", str(zfile)]) == 1
     assert f"{zfile}:3: record value nan is not finite" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
 
@@ -162,7 +173,7 @@ def test_out_of_range_record_is_a_typed_error(tmp_path, capsys, command):
     zfile.write_text("1e308\n" * 8)
     cfg = _write_config(tmp_path / "cfg.json",
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
-    argv = (["trajectory", "--z-source", "file", "--z-file", str(zfile)]
+    argv = (["trajectory", "--z-file", str(zfile)]
             if command == "trajectory" else ["detector", "--record-file", str(zfile)])
     assert _run([*argv, "--config", cfg]) == 1
     err = capsys.readouterr().err
@@ -221,8 +232,7 @@ def test_trajectory_record_length_mismatch(tmp_path, capsys):
     zfile.write_text("0.0\n0.0\n")
     cfg = _write_config(tmp_path / "cfg.json",
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
-    assert _run(["trajectory", "--config", cfg, "--z-source", "file",
-                 "--z-file", str(zfile)]) == 1
+    assert _run(["trajectory", "--config", cfg, "--z-file", str(zfile)]) == 1
     assert "record length" in capsys.readouterr().err
 
 
@@ -294,6 +304,38 @@ def test_detector_delayed_schedule(tmp_path):
     assert report["delay"] == 0.2
     assert len(report["record"]) == 6
     assert report["purity"] < 1.0
+
+
+def test_delay_checked_against_readout_time(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json",
+                        schedule={"kind": "delayed", "delay": 0.5, "t": 0.3},
+                        output={"directory": str(out), "format": "csv"})
+    with pytest.raises(ConfigError, match="schedule.delay"):
+        cli.load_config(cfg)
+    assert _run(["detector", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule.delay") and "Traceback" not in err
+    cfg = _write_config(tmp_path / "cfg2.json",
+                        schedule={"kind": "delayed", "delay": 0.2, "t": 0.5},
+                        output={"directory": str(out), "format": "csv"})
+    assert _run(["detector", "--config", cfg]) == 0
+    assert len(json.loads((out / "detector.json").read_text())["record"]) == 3
+
+
+def test_singular_psd_kernel(tmp_path, capsys):
+    # A constant tabulated kernel makes A rank one.  Records are still drawn
+    # through the jittered factor; a conditioned state needs the density,
+    # which does not exist, and fails with a typed error.
+    cfg = _write_config(tmp_path / "cfg.json",
+                        kernel={"kind": "tabulated", "samples": [[0.0, 1.0], [10.0, 1.0]]},
+                        sampling={"n_samples": 500, "seed": 4},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run(["trajectory", "--config", cfg]) == 0
+    assert _run(["ensemble", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert _run(["detector", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: covariance is not positive definite\n"
 
 
 def test_verify_surfaces_invalid_kernel(tmp_path, capsys):

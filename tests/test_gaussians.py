@@ -9,9 +9,7 @@ from nmtraj.noise import GaussianDensity
 
 def _matrix(entries):
     entries = np.asarray(entries, dtype=float)
-    eigs = np.linalg.eigvalsh(entries)
-    return KernelMatrix(window=range(0, entries.shape[0]), entries=entries,
-                        min_eigenvalue=float(eigs[0]), norm=float(np.max(np.abs(eigs))))
+    return KernelMatrix(window=range(0, entries.shape[0]), entries=entries)
 
 
 def test_readout_scalar_density():
@@ -53,7 +51,7 @@ def test_marginal_closure_nested_windows(A8, grid8):
     # sub-window, for any nesting.
     full = nt.readout_prior(A8)
     sub_window = range(1, 5)
-    direct = nt.readout_prior(nt.window_matrix(A8, sub_window))
+    direct = nt.readout_prior(KernelMatrix(sub_window, A8.submatrix(sub_window)))
     marginal = full.marginal(sub_window)
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -111,6 +109,29 @@ def test_sampler_empty_and_deterministic(A8):
         assert np.array_equal(ra.values, rb.values)
     c = nt.sample_readout_prior(A8, 5, seed=100)
     assert not np.array_equal(a[0].values, c[0].values)
+
+
+def _philox(seed, stream):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
+
+
+def test_samplers_draw_through_the_window_factor(A8):
+    # Readout records are the 0x7A Philox stream times L^T, pointer records
+    # L^{-T} times the 0x78 stream over 2, with L the Cholesky factor of A.
+    L = np.linalg.cholesky(A8.entries)
+    readout = np.stack([r.values for r in nt.sample_readout_prior(A8, 5, seed=99)])
+    assert np.array_equal(readout, _philox(99, 0x7A).standard_normal((5, 8)) @ L.T)
+    pointer = np.stack([r.values for r in nt.sample_pointer_prior(A8, 5, seed=99)])
+    xi = _philox(99, 0x78).standard_normal((5, 8))
+    assert np.array_equal(pointer, 0.5 * np.linalg.solve(L.T, xi.T).T)
+
+
+def test_singular_prior_samples_with_jitter():
+    # Rank one, spectral norm 2: the factor is that of ones + 2e-12 * I.
+    A = _matrix(np.ones((2, 2)))
+    got = np.stack([r.values for r in nt.sample_readout_prior(A, 4, seed=5)])
+    L = np.linalg.cholesky(np.ones((2, 2)) + 2e-12 * np.eye(2))
+    assert np.array_equal(got, _philox(5, 0x7A).standard_normal((4, 2)) @ L.T)
 
 
 def test_shift_ratio_zero_shift(A8):

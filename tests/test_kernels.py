@@ -4,6 +4,7 @@ import pytest
 import nmtraj as nt
 from nmtraj import KernelMatrix
 from nmtraj.errors import NotPositiveDefinite, SingularWindow
+from nmtraj.noise import GaussianDensity
 
 
 def test_grid_validation():
@@ -90,55 +91,70 @@ def test_tabulated_validation():
         nt.TabulatedKernel(lags=(0.0,), values=(1.0, 2.0))
 
 
+def _precision(entries) -> np.ndarray:
+    """Window precision (restricted inverse) through the readout prior."""
+    entries = np.asarray(entries, dtype=float)
+    A = KernelMatrix(window=range(0, entries.shape[0]), entries=entries)
+    return nt.readout_prior(A).precision_apply(np.eye(entries.shape[0]))
+
+
+class _UnitDraws:
+    """Generator stand-in whose (n, n) normal draws are the identity, so a
+    zero-mean GaussianDensity.sample(n, ...) returns the transposed factor."""
+
+    def standard_normal(self, shape):
+        return np.eye(*shape)
+
+
+def _factor(entries) -> np.ndarray:
+    entries = np.asarray(entries, dtype=float)
+    n = entries.shape[0]
+    density = GaussianDensity(window=range(0, n), mean=np.zeros(n), covariance=entries)
+    return density.sample(n, _UnitDraws()).T
+
+
 def test_restricted_inverse_diagonal():
-    A = KernelMatrix(window=range(0, 3), entries=2.5 * np.eye(3),
-                     min_eigenvalue=2.5, norm=2.5)
-    inv = nt.restricted_inverse(A, range(0, 3))
-    assert np.allclose(inv.entries, np.eye(3) / 2.5, atol=1e-15)
+    assert np.allclose(_precision(2.5 * np.eye(3)), np.eye(3) / 2.5, atol=1e-15)
 
 
 def test_restricted_inverse_two_by_two_closed_form():
     a, b = 1.0, 0.6
     entries = np.array([[a, b], [b, a]])
-    A = KernelMatrix(window=range(0, 2), entries=entries,
-                     min_eigenvalue=a - b, norm=a + b)
-    inv = nt.restricted_inverse(A, range(0, 2))
+    inv = _precision(entries)
     closed = np.array([[a, -b], [-b, a]]) / (a ** 2 - b ** 2)
-    assert np.allclose(inv.entries, closed, atol=1e-14)
+    assert np.allclose(inv, closed, atol=1e-14)
     # Independent route: a linear solve.
-    assert np.allclose(inv.entries, np.linalg.solve(entries, np.eye(2)), atol=1e-14)
+    assert np.allclose(inv, np.linalg.solve(entries, np.eye(2)), atol=1e-14)
 
 
 def test_restricted_inverse_full_window_equals_full_inverse(A8):
-    full = nt.restricted_inverse(A8, A8.window)
-    sub = nt.restricted_inverse(A8, range(0, 8))
-    assert np.array_equal(full.entries, sub.entries)
+    full = nt.readout_prior(A8).precision_apply(np.eye(8))
+    sub = nt.readout_prior(A8).marginal(range(0, 8)).precision_apply(np.eye(8))
+    assert np.array_equal(full, sub)
 
 
 def test_restricted_inverse_residual(A8):
     for window in (range(0, 3), range(2, 7), range(0, 8)):
-        inv = nt.restricted_inverse(A8, window)
-        resid = A8.submatrix(window) @ inv.entries - np.eye(len(window))
-        assert np.max(np.abs(resid)) <= 1e-10
+        eye = np.eye(len(window))
+        inv = nt.readout_prior(A8).marginal(window).precision_apply(eye)
+        assert np.max(np.abs(A8.submatrix(window) @ inv - eye)) <= 1e-10
+        pointer = nt.pointer_prior(KernelMatrix(window, A8.submatrix(window)))
+        assert np.max(np.abs(4.0 * A8.submatrix(window) @ pointer.covariance - eye)) <= 1e-10
 
 
 def test_restricted_inverse_singular_window():
     entries = np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
-    A = KernelMatrix(window=range(0, 2), entries=entries,
-                     min_eigenvalue=1e-15, norm=2.0)
-    with pytest.raises(SingularWindow):
-        nt.restricted_inverse(A, range(0, 2))
+    with pytest.raises(SingularWindow, match="condition number"):
+        nt.pointer_prior(KernelMatrix(window=range(0, 2), entries=entries))
 
 
 def test_cholesky_identity():
-    A = KernelMatrix(window=range(0, 3), entries=np.eye(3), min_eigenvalue=1.0, norm=1.0)
-    assert np.allclose(nt.cholesky_factor(A), np.eye(3), atol=1e-15)
+    assert np.allclose(_factor(np.eye(3)), np.eye(3), atol=1e-15)
 
 
 def test_cholesky_known_factor():
     entries = np.array([[4.0, 2.0], [2.0, 5.0]])
-    A = KernelMatrix(window=range(0, 2), entries=entries, min_eigenvalue=3.0, norm=6.0)
-    L = nt.cholesky_factor(A)
+    L = _factor(entries)
     assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
     assert np.allclose(L @ L.T, entries, atol=1e-12)
 
@@ -146,28 +162,28 @@ def test_cholesky_known_factor():
 def test_cholesky_markov():
     grid = nt.TimeGrid(epsilon=0.25, n_steps=4)
     A = nt.build_kernel_matrix(nt.MarkovDeltaKernel(g=1.5), grid)
-    L = nt.cholesky_factor(A)
-    assert np.allclose(L, np.sqrt(0.25) * 1.5 * np.eye(4), atol=1e-14)
+    assert np.allclose(_factor(A.entries), np.sqrt(0.25) * 1.5 * np.eye(4), atol=1e-14)
 
 
 def test_cholesky_singular_psd_with_jitter():
+    # Spectral norm 2, so the diagonal jitter is PSD_RTOL * 2.
     entries = np.ones((2, 2))
-    A = KernelMatrix(window=range(0, 2), entries=entries, min_eigenvalue=0.0, norm=2.0)
-    L = nt.cholesky_factor(A)
+    L = _factor(entries)
     assert np.max(np.abs(L @ L.T - entries)) <= 1e-10 * 2.0
+    assert np.allclose(L @ L.T, entries + 2e-12 * np.eye(2), rtol=0.0, atol=1e-15)
+    density = GaussianDensity(window=range(0, 2), mean=np.zeros(2), covariance=entries)
+    for evaluate in (density.logpdf, density.precision_apply):
+        with pytest.raises(SingularWindow, match="covariance is not positive definite"):
+            evaluate(np.zeros(2))
 
 
 def test_cholesky_zero_matrix():
-    A = KernelMatrix(window=range(0, 2), entries=np.zeros((2, 2)),
-                     min_eigenvalue=0.0, norm=0.0)
-    assert np.array_equal(nt.cholesky_factor(A), np.zeros((2, 2)))
+    assert np.array_equal(_factor(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def test_cholesky_indefinite_raises():
-    entries = np.array([[1.0, 0.0], [0.0, -1.0]])
-    A = KernelMatrix(window=range(0, 2), entries=entries, min_eigenvalue=-1.0, norm=1.0)
-    with pytest.raises(NotPositiveDefinite):
-        nt.cholesky_factor(A)
+    with pytest.raises(SingularWindow):
+        _factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 def test_window_and_block_access(A8):
@@ -185,10 +201,3 @@ def test_window_outside_grid_rejected():
     grid = nt.TimeGrid(epsilon=0.1, n_steps=4)
     with pytest.raises(ValueError):
         nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid, range(0, 5))
-
-
-def test_window_matrix_helper(A8):
-    sub = nt.window_matrix(A8, range(1, 4))
-    assert sub.window == range(1, 4)
-    assert np.array_equal(sub.entries, A8.submatrix(range(1, 4)))
-    assert sub.min_eigenvalue > 0
