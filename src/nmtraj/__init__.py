@@ -27,9 +27,7 @@ from .kernels import (
 from .noise import (
     GaussianDensity,
     NoiseRecord,
-    pointer_logdensity,
     pointer_prior,
-    readout_logdensity,
     readout_prior,
     sample_pointer_prior,
     sample_readout_prior,
@@ -43,7 +41,6 @@ from .quantum import (
     eigendecompose_coupling,
     free_step,
     sigma_x,
-    sigma_y,
     sigma_z,
     trace_distance,
 )

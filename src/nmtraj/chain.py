@@ -61,7 +61,6 @@ class PathEnsemble:
     freely evolved state (projector completeness).
     """
 
-    window: range
     histories: np.ndarray       # (paths, steps) int8 indices into eigenvalues
     amplitudes: np.ndarray      # (paths, dim) complex
     eigenvalues: np.ndarray     # (levels,) distinct coupling eigenvalues
@@ -78,8 +77,6 @@ class ConditionalState:
 
     rho: DensityOperator
     log_weight: float
-    schedule: str
-    window: range
 
 
 @dataclass(frozen=True)
@@ -125,14 +122,13 @@ def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, path_budget: int,
 
 
 def build_paths(model: ModelSpec, grid: TimeGrid, window: range,
-                path_budget: int = DEFAULT_PATH_BUDGET,
-                eigensystem: CouplingEigensystem | None = None) -> PathEnsemble:
+                path_budget: int = DEFAULT_PATH_BUDGET) -> PathEnsemble:
     """Enumerate the eigenvalue histories over ``window`` with their vector
     amplitudes, by walking the history tree to the window's end."""
-    eig = eigensystem if eigensystem is not None else eigendecompose_coupling(model)
+    eig = eigendecompose_coupling(model)
     for amps, hist in _walk_paths(model, grid, len(window), path_budget, eig):
         pass
-    return PathEnsemble(window=window, histories=hist, amplitudes=amps,
+    return PathEnsemble(histories=hist, amplitudes=amps,
                         eigenvalues=eig.eigenvalues,
                         eigenvalue_sequences=eig.eigenvalues[hist.astype(int)])
 
@@ -163,7 +159,7 @@ def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, left: np.ndarray,
 
 
 def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
-                 centers: np.ndarray, values: np.ndarray, schedule: str) -> ConditionalState:
+                 centers: np.ndarray, values: np.ndarray) -> ConditionalState:
     """Shared pairwise machinery for all conditioned states.
 
     ``centers[p]`` is the vector by which history p shifts the read record's
@@ -189,9 +185,7 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
         raise DegenerateState(f"conditional state has weight {trace}; the record values "
                               "are out of the range this path sum can represent")
     log_weight = density.logpdf(values) + float(np.log(trace)) + shift
-    rho = DensityOperator.from_matrix(num)
-    return ConditionalState(rho=rho, log_weight=log_weight, schedule=schedule,
-                            window=paths.window)
+    return ConditionalState(rho=DensityOperator.from_matrix(num), log_weight=log_weight)
 
 
 def _reduced(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray) -> DensityOperator:
@@ -242,7 +236,7 @@ def conditional_state_readout(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     A_w = A.submatrix(window)
     density = GaussianDensity(window=window, mean=np.zeros(len(window)), covariance=A_w)
     centers = paths.eigenvalue_sequences @ A_w
-    return _conditional(paths, A_w, density, centers, record.values, record.schedule)
+    return _conditional(paths, A_w, density, centers, record.values)
 
 
 def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -261,9 +255,9 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
         raise ValueError("expected a pointer record on the window [0, t)")
     paths = build_paths(model, grid, window, path_budget)
     A_w = A.submatrix(window)
-    density = pointer_prior(A).marginal(window)
+    density = pointer_prior(A, window)
     centers = 0.5 * paths.eigenvalue_sequences
-    return _conditional(paths, A_w, density, centers, record.values, record.schedule)
+    return _conditional(paths, A_w, density, centers, record.values)
 
 
 def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -288,9 +282,7 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     density = GaussianDensity(window=read, mean=np.zeros(len(read)),
                               covariance=A.submatrix(read))
     centers = paths.eigenvalue_sequences @ A.block(read, window).T
-    state = _conditional(paths, A_w, density, centers, record.values, "delayed")
-    return ConditionalState(rho=state.rho, log_weight=state.log_weight,
-                            schedule="delayed", window=window)
+    return _conditional(paths, A_w, density, centers, record.values)
 
 
 def vn_measure(detector: SingleDetector, model: ModelSpec, tau: float,

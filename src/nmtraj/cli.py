@@ -424,8 +424,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
         else:
             full = sample_pointer_prior(A, 1, seed=config.seed)[0]
             values = full.values[: len(window)]
-        record = NoiseRecord(window=window, values=values, kind="pointer",
-                             schedule="zero-delay")
+        record = NoiseRecord(window=window, values=values, kind="pointer")
         state = conditional_state_pointer(model, A, grid, t, record)
     elif schedule == "delayed":
         read = grid.window_before(t - config.delay)
@@ -434,8 +433,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
         else:
             values = sample_readout_prior(
                 KernelMatrix(read, A.submatrix(read)), 1, seed=config.seed)[0].values
-        record = NoiseRecord(window=read, values=values, schedule="delayed",
-                             delay=config.delay)
+        record = NoiseRecord(window=read, values=values)
         state = delayed_state(model, A, grid, t, config.delay, record)
     else:
         window = grid.window_before(t)
@@ -444,7 +442,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
         else:
             values = sample_readout_prior(
                 KernelMatrix(window, A.submatrix(window)), 1, seed=config.seed)[0].values
-        record = NoiseRecord(window=window, values=values, schedule=schedule)
+        record = NoiseRecord(window=window, values=values)
         state = conditional_state_readout(model, A, grid, t, record)
     payload = {
         "schedule": schedule,

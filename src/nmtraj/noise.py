@@ -115,21 +115,6 @@ class GaussianDensity:
         return GaussianDensity(window=window, mean=self.mean[rel],
                                covariance=self.covariance[np.ix_(rel, rel)])
 
-    def shift_log_ratio(self, shift: np.ndarray):
-        """Return f(v) = logpdf(v - shift) - logpdf(v).
-
-        Evaluates the exact quadratic form (v - mean) . Sigma^{-1} shift
-        - shift . Sigma^{-1} shift / 2; no normalization constant enters.
-        """
-        shift = np.asarray(shift, dtype=float)
-        a = self.precision_apply(shift)
-        b = 0.5 * float(np.dot(shift, a))
-
-        def ratio(values: np.ndarray) -> float:
-            return float(np.dot(np.asarray(values, dtype=float) - self.mean, a) - b)
-
-        return ratio
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         xi = rng.standard_normal((count, self.dim))
         return self.mean[None, :] + xi @ self._chol.T
@@ -140,17 +125,14 @@ class NoiseRecord:
     """A pointer or readout record over a grid window.
 
     ``kind`` is "readout" for kernel-smeared integrated readout values and
-    "pointer" for raw pointer coordinates.  The schedule tags how the record
-    was (or is to be) read out: immediately ("zero-delay"), with a fixed lag
-    ("delayed", together with ``delay``), or all at once at the final time
-    ("all-in-one").
+    "pointer" for raw pointer coordinates.  How the record is read out
+    (immediately, with a delay, or as raw pointers) is fixed by the chain
+    function it is conditioned with.
     """
 
     window: range
     values: np.ndarray
     kind: str = "readout"
-    schedule: str = "zero-delay"
-    delay: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -158,8 +140,6 @@ class NoiseRecord:
             raise ValueError("record length does not match its window")
         if self.kind not in ("readout", "pointer"):
             raise ValueError(f"unknown record kind {self.kind!r}")
-        if self.schedule not in ("zero-delay", "delayed", "all-in-one"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 def readout_prior(A: KernelMatrix) -> GaussianDensity:
@@ -167,12 +147,15 @@ def readout_prior(A: KernelMatrix) -> GaussianDensity:
     return GaussianDensity(window=A.window, mean=np.zeros(A.size), covariance=A.entries)
 
 
-def pointer_prior(A: KernelMatrix) -> GaussianDensity:
-    """Zero-mean Gaussian over pointer records with precision 4*A.
+def pointer_prior(A: KernelMatrix, window: range) -> GaussianDensity:
+    """Zero-mean Gaussian over the pointer records read on ``window``.
 
-    A^{-1} comes from the readout prior's precision solves.  Raises
-    SingularWindow when A is not strictly positive definite, its condition
-    number exceeds CONDITION_CAP, or the inverse misses INVERSE_RTOL.
+    The pointers over all of A.window have precision 4*A; the read ones
+    have the marginal covariance, the window block of A^{-1}/4, which is
+    factored once.  A^{-1} comes from the readout prior's precision solves.
+    Raises SingularWindow when A is not strictly positive definite, its
+    condition number exceeds CONDITION_CAP, or the inverse misses
+    INVERSE_RTOL.
     """
     n = A.size
     if n:
@@ -188,26 +171,10 @@ def pointer_prior(A: KernelMatrix) -> GaussianDensity:
     resid = float(np.max(np.abs(np.eye(n) - A.entries @ inv), initial=0.0))
     if resid > INVERSE_RTOL:
         raise SingularWindow(f"inverse residual {resid:.3e} exceeds {INVERSE_RTOL:.0e}")
-    # Symmetrized A^{-1}, times 1/4.
-    return GaussianDensity(window=A.window, mean=np.zeros(n), covariance=0.125 * (inv + inv.T))
-
-
-def readout_logdensity(record: NoiseRecord, A: KernelMatrix) -> float:
-    """Log-density of a readout record under the window prior.
-
-    The record window must match A's window; marginalization onto a
-    sub-window is the same as building A directly on that sub-window.
-    """
-    if record.window != A.window:
-        raise ValueError("record window does not match the kernel window")
-    return readout_prior(A).logpdf(record.values)
-
-
-def pointer_logdensity(record: NoiseRecord, A: KernelMatrix) -> float:
-    """Log-density of a raw pointer record under the precision-4A prior."""
-    if record.window != A.window:
-        raise ValueError("record window does not match the kernel window")
-    return pointer_prior(A).logpdf(record.values)
+    # Symmetrized A^{-1}, times 1/4, restricted to the read window.
+    quarter_inverse = KernelMatrix(A.window, 0.125 * (inv + inv.T))
+    return GaussianDensity(window=window, mean=np.zeros(len(window)),
+                           covariance=quarter_inverse.submatrix(window))
 
 
 def sample_readout_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRecord]:
@@ -218,8 +185,13 @@ def sample_readout_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRe
 
 
 def sample_pointer_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRecord]:
-    """Draw raw pointer records (covariance A^{-1}/4); deterministic in seed."""
-    L = readout_prior(A)._chol
+    """Draw raw pointer records (covariance A^{-1}/4); deterministic in seed.
+
+    A singular A has no pointer prior and raises SingularWindow.
+    """
+    prior = readout_prior(A)
+    prior._require_definite()
+    L = prior._chol
     xi = _generator(seed, _STREAM_POINTER).standard_normal((count, A.size))
     # x = L^{-T} xi / 2 has covariance (L L^T)^{-1} / 4 = A^{-1} / 4.
     values = 0.5 * np.linalg.solve(L.T, xi.T).T if A.size else xi

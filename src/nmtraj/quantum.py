@@ -28,10 +28,6 @@ def sigma_x() -> np.ndarray:
     return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def sigma_y() -> np.ndarray:
-    return np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-
 def sigma_z() -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 

@@ -76,19 +76,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
-    """Importance-sampled estimate of the open-system state and readout
-    moments, with per-component standard errors."""
+    """Importance-sampled estimate of the open-system state, with
+    per-component standard errors, and the weighted samples behind it."""
 
     n_samples: int
     seed: int
     window: range
-    epsilon: float
     rho: DensityOperator
     rho_se: np.ndarray            # (dim, dim) combined re/im standard errors
-    mean_z: np.ndarray            # (steps,) weighted readout means
-    mean_z_se: np.ndarray
-    mean_coupling: np.ndarray     # (steps,) weighted conditional expectations
-    mean_coupling_se: np.ndarray
     effective_sample_size: float
     # Per-sample arrays kept for paired comparisons (readout-mean law).
     sample_z: np.ndarray = field(repr=False)
@@ -231,7 +226,8 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     weight |Psi|^2, so the weighted mean of normalized projectors is exactly
     the sum of unnormalized outer products over the sum of weights.  The
     estimator's trace is 1 by construction.  Raises DegenerateWeights when
-    the effective sample size drops below 10.
+    the weight sums leave the float range or the effective sample size
+    drops below 10.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -266,7 +262,12 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
         coupling_all[lo:hi] = ((W * overlap).real @ Xs) / w[:, None]
 
     total = float(np.sum(weights))
-    ess = total ** 2 / float(np.sum(weights ** 2))
+    total_sq = float(np.sum(weights ** 2))
+    if not (0.0 < total < np.inf and 0.0 < total_sq < np.inf):
+        raise DegenerateWeights(
+            f"importance weights sum to {total:.3e} with squares summing to {total_sq:.3e}; "
+            "they are out of the floating-point range")
+    ess = total ** 2 / total_sq
     if ess < _MIN_EFFECTIVE_SAMPLES:
         raise DegenerateWeights(
             f"effective sample size {ess:.2f} below {_MIN_EFFECTIVE_SAMPLES}")
@@ -276,16 +277,8 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
         _ratio_se(weights, proj_all.real.reshape(n_samples, -1), rho.matrix.real.ravel()) ** 2
         + _ratio_se(weights, proj_all.imag.reshape(n_samples, -1), rho.matrix.imag.ravel()) ** 2
     ).reshape(d, d)
-
-    mean_z = weights @ z_all / total
-    mean_z_se = _ratio_se(weights, z_all, mean_z)
-    mean_c = weights @ coupling_all / total
-    mean_c_se = _ratio_se(weights, coupling_all, mean_c)
     return EnsembleEstimate(
-        n_samples=n_samples, seed=seed, window=window, epsilon=grid.epsilon,
-        rho=rho, rho_se=rho_se,
-        mean_z=mean_z, mean_z_se=mean_z_se,
-        mean_coupling=mean_c, mean_coupling_se=mean_c_se,
+        n_samples=n_samples, seed=seed, window=window, rho=rho, rho_se=rho_se,
         effective_sample_size=float(ess),
         sample_z=z_all, sample_coupling=coupling_all, sample_weights=weights)
 
@@ -297,19 +290,15 @@ def _ratio_se(weights: np.ndarray, values: np.ndarray, ratio: np.ndarray) -> np.
     return np.sqrt(np.sum(dev ** 2, axis=0)) / total
 
 
-def mean_readout(estimate: EnsembleEstimate, A: KernelMatrix, t: float | None = None
-                 ) -> MeanReadoutComparison:
+def mean_readout(estimate: EnsembleEstimate, A: KernelMatrix) -> MeanReadoutComparison:
     """Compare the final step's mean readout against the kernel-weighted mean
     of conditional coupling expectations, on the same weighted samples.
 
     The per-sample difference carries the comparison, so shared Monte Carlo
     fluctuations cancel and the reported standard error is the error of the
-    discrepancy itself.  ``t``, when given, must be the time the ensemble was
-    built at.
+    discrepancy itself.
     """
     window = estimate.window
-    if t is not None and int(round(t / estimate.epsilon)) != window.stop:
-        raise ValueError("t must be the ensemble's construction time")
     k = len(window) - 1
     row = 2.0 * A.submatrix(window)[k, :]
     lhs_samples = estimate.sample_z[:, k]

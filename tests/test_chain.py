@@ -214,7 +214,7 @@ def test_pointer_state_zero_coupling(zero_coupling_model, A8, grid8):
     U = np.linalg.matrix_power(nt.free_step(zero_coupling_model, 0.1), 4)
     expected = DensityOperator.from_state(U @ zero_coupling_model.initial_state)
     assert nt.trace_distance(state.rho, expected) <= 1e-12
-    prior = nt.pointer_prior(A8).marginal(window)
+    prior = nt.pointer_prior(A8, window)
     assert state.log_weight == pytest.approx(prior.logpdf(values), abs=1e-10)
 
 
@@ -248,7 +248,7 @@ def test_pointer_state_dephasing_two_branch_closed_form():
     rec = NoiseRecord(window=window, values=values, kind="pointer")
     state = nt.conditional_state_pointer(model, A, grid, 0.2, rec)
 
-    marginal = nt.pointer_prior(A).marginal(window)
+    marginal = nt.pointer_prior(A, window)
     like_up = np.exp(marginal.logpdf(values - 1.0))
     like_dn = np.exp(marginal.logpdf(values + 1.0))
     damp = np.exp(-2.0 * np.sum(A.submatrix(window)))
@@ -282,7 +282,7 @@ def test_readout_state_zero_coupling(zero_coupling_model, A8, grid8):
     U = np.linalg.matrix_power(nt.free_step(zero_coupling_model, 0.1), 8)
     expected = DensityOperator.from_state(U @ zero_coupling_model.initial_state)
     assert nt.trace_distance(state.rho, expected) <= 1e-12
-    assert state.log_weight == pytest.approx(nt.readout_logdensity(rec, A8), abs=1e-10)
+    assert state.log_weight == pytest.approx(nt.readout_prior(A8).logpdf(rec.values), abs=1e-10)
 
 
 def test_readout_state_purity_one(default_model, A8, grid8):
@@ -340,7 +340,7 @@ def test_pointer_unraveling_by_quadrature(default_model, steps):
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     t = 0.1 * steps
     window = grid.window_before(t)
-    marginal = nt.pointer_prior(A).marginal(window)
+    marginal = nt.pointer_prior(A, window)
     pts, wts = _gh_points(np.zeros(steps), marginal.covariance, order=20)
     acc = np.zeros((2, 2), dtype=complex)
     total = 0.0

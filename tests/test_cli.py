@@ -6,6 +6,7 @@ import pytest
 import nmtraj as nt
 from nmtraj import chain, cli
 from nmtraj.errors import ConfigError
+from nmtraj.noise import GaussianDensity
 
 
 def _run(argv):
@@ -336,6 +337,62 @@ def test_singular_psd_kernel(tmp_path, capsys):
     capsys.readouterr()
     assert _run(["detector", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: covariance is not positive definite\n"
+
+
+def test_x_readout_on_zero_kernel(tmp_path, capsys):
+    # A zero kernel's readout prior is singular, so there is no pointer
+    # prior to sample from.
+    cfg = _write_config(tmp_path / "cfg.json",
+                        kernel={"kind": "tabulated", "samples": [[0.0, 0.0]]},
+                        schedule={"kind": "x-readout", "delay": 0.0},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run(["detector", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: covariance is not positive definite\n"
+    assert "Traceback" not in err
+
+
+def test_ensemble_weights_out_of_float_range(tmp_path, capsys):
+    # 120 steps at coupling 6 sigma_z: the weights sum to about 1e-280, and
+    # their squares underflow to 0.
+    model = {**_DEPHASING_MODEL,
+             "hamiltonian": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.7, 0.0]]],
+             "coupling": [[[6.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-6.0, 0.0]]]}
+    cfg = _write_config(tmp_path / "cfg.json", model=model,
+                        grid={"epsilon": 0.1, "n_steps": 120},
+                        sampling={"n_samples": 1000, "seed": 12345},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run(["ensemble", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: importance weights sum to")
+    assert "out of the floating-point range" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "ensemble.json").exists()
+
+
+@pytest.mark.parametrize("record_file, windows", [(False, [12, 12, 8]), (True, [12, 8])])
+def test_x_readout_detector_factors_the_read_window_once(tmp_path, monkeypatch,
+                                                        record_file, windows):
+    # The sampler and pointer_prior each factor A; the pointer prior is then
+    # built and factored on the read window only.
+    made = []
+    post_init = GaussianDensity.__post_init__
+
+    def counting(self):
+        made.append(len(self.window))
+        post_init(self)
+
+    monkeypatch.setattr(GaussianDensity, "__post_init__", counting)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        grid={"epsilon": 0.1, "n_steps": 12},
+                        schedule={"kind": "x-readout", "t": 0.8},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    argv = ["detector", "--config", cfg, "--seed", "5"]
+    if record_file:
+        xfile = tmp_path / "x.txt"
+        xfile.write_text("0.1\n" * 8)
+        argv += ["--record-file", str(xfile)]
+    assert _run(argv) == 0
+    assert made == windows
 
 
 def test_verify_surfaces_invalid_kernel(tmp_path, capsys):
