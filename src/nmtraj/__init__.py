@@ -50,7 +50,6 @@ from .chain import (
     SingleDetector,
     build_paths,
     conditional_state_pointer,
-    conditional_state_readout,
     delayed_state,
     pointer_width_for,
     reduced_state,

@@ -20,7 +20,8 @@ the step's right endpoint; windows are left-endpoint, {k : t_k < t}.
 
 Path enumeration prunes branches whose amplitude is exactly zero (this is
 what keeps commuting models O(d) wide at any depth) and refuses, rather than
-truncates, when the surviving branch count would exceed the budget.
+truncates, when the surviving branch count would exceed the path budget or
+the pair sums would evaluate more than PAIR_BUDGET pair exponents.
 
 All values are immutable after construction; enumeration and pairwise
 accumulation are pure, so callers may partition the history index space
@@ -45,6 +46,9 @@ from .quantum import (
 )
 
 DEFAULT_PATH_BUDGET = 2 ** 20
+
+#: Most pair exponents one call may evaluate, summed over its pair sums.
+PAIR_BUDGET = 2 ** 30
 
 #: Pair blocks are accumulated in row chunks of this many paths to bound
 #: peak memory at large path counts.
@@ -133,6 +137,13 @@ def build_paths(model: ModelSpec, grid: TimeGrid, window: range,
                         eigenvalue_sequences=eig.eigenvalues[hist.astype(int)])
 
 
+def _check_pairs(pairs: int) -> None:
+    if pairs > PAIR_BUDGET:
+        raise PathBudgetExceeded(
+            f"{pairs} path pairs exceed the pair budget {PAIR_BUDGET}; "
+            "reduce the step count or Hilbert dimension")
+
+
 def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, left: np.ndarray,
                      right: np.ndarray):
     """Accumulate the pairwise sum
@@ -149,6 +160,7 @@ def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, left: np.ndarray,
     largest entry lies on the diagonal and the shift bounds every exponent.
     """
     p, d = amps.shape
+    _check_pairs(p * p)
     shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", left, right))) if p else 0.0
     num = np.zeros((d, d), dtype=complex)
     for lo in range(0, p, _PAIR_CHUNK):
@@ -213,30 +225,11 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     """Open-system states at every grid time in (0, t], from one walk over
     the history tree: entry k - 1 equals reduced_state at time k * epsilon."""
     eig = eigendecompose_coupling(model)
-    # The whole walk runs first, so the path budget is checked before any pair sum.
+    # The whole walk runs first, so both budgets are checked before any pair sum.
     prefixes = list(_walk_paths(model, grid, len(grid.window_before(t)), path_budget, eig))
+    _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes[1:]))
     return [_reduced(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(hist.shape[1])))
             for amps, hist in prefixes[1:]]
-
-
-def conditional_state_readout(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                              record: NoiseRecord,
-                              path_budget: int = DEFAULT_PATH_BUDGET) -> ConditionalState:
-    """State conditioned on the kernel-smeared readout record over [0, t).
-
-    The record's prior marginal has covariance equal to the window submatrix
-    of A (restriction keeps the covariance), and history pair (a, b) shifts
-    it by A_w (Xa + Xb).  The resulting state is pure for every record; its
-    log_weight is the log readout density.
-    """
-    window = grid.window_before(t)
-    if record.kind != "readout" or record.window != window:
-        raise ValueError("expected a readout record on the window [0, t)")
-    paths = build_paths(model, grid, window, path_budget)
-    A_w = A.submatrix(window)
-    density = GaussianDensity(window=window, mean=np.zeros(len(window)), covariance=A_w)
-    centers = paths.eigenvalue_sequences @ A_w
-    return _conditional(paths, A_w, density, centers, record.values)
 
 
 def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -264,11 +257,16 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
                   delay: float, record: NoiseRecord,
                   path_budget: int = DEFAULT_PATH_BUDGET) -> ConditionalState:
     """State at time t when each readout is collected ``delay`` after its
-    own step, so only the record on [0, t - delay) has been read.
+    own step, so only the record on [0, t - delay) has been read; the
+    chain's one state conditioned on the kernel-smeared readout record.
 
-    Equals the readout-conditioned state averaged over the still-unread
-    components under the full readout density.  With delay 0 it reduces to
-    conditional_state_readout; with delay t to the reduced state.
+    The record's prior marginal has covariance equal to the read-window
+    submatrix of A, and history pair (a, b) shifts it by
+    A_{read, window} (Xa + Xb).  With delay 0 the whole window is read and
+    the state is pure for every record; with delay t nothing is read and it
+    is the reduced state.  In between it equals the zero-delay state
+    averaged over the still-unread components under the full readout
+    density.  log_weight is the log readout density of the record.
     """
     grid.steps_of(delay)  # validates that the delay sits on the grid
     if delay < 0 or delay > t:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -22,12 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .chain import (
-    conditional_state_pointer,
-    conditional_state_readout,
-    delayed_state,
-    reduced_states,
-)
+from .chain import conditional_state_pointer, delayed_state, reduced_states
 from .errors import ConfigError, NmtrajError
 from .kernels import (
     ExponentialKernel,
@@ -41,7 +37,7 @@ from .noise import NoiseRecord, sample_pointer_prior, sample_readout_prior
 from .quantum import ModelSpec, eigendecompose_coupling
 from .trajectories import ensemble_average, mean_readout, solve_unnormalized
 
-_SCHEDULES = ("zero-delay", "delayed", "x-readout", "all-in-one")
+_SCHEDULES = ("zero-delay", "delayed", "x-readout")
 
 DEFAULT_CONFIG = {
     "model": {
@@ -64,7 +60,7 @@ class RunConfig:
     kernel: object
     grid: TimeGrid
     schedule: str
-    delay: float
+    delay: float                  # the configured delay for "delayed", else 0.0
     readout_time: float | None
     n_samples: int
     seed: int
@@ -92,33 +88,34 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
-def _parse_complex_matrix(obj, path: str, d: int) -> np.ndarray:
-    _expect(isinstance(obj, list) and len(obj) == d, path, f"expected {d} rows")
-    out = np.zeros((d, d), dtype=complex)
-    for i, row in enumerate(obj):
-        _expect(isinstance(row, list) and len(row) == d, f"{path}[{i}]",
-                f"expected {d} entries")
-        for j, cell in enumerate(row):
-            _expect(isinstance(cell, list) and len(cell) == 2
-                    and all(isinstance(v, (int, float)) for v in cell),
-                    f"{path}[{i}][{j}]", "expected an [re, im] pair")
-            out[i, j] = complex(cell[0], cell[1])
-    return out
+def _finite(obj) -> bool:
+    """A JSON number other than NaN and +-Infinity (which json.loads accepts)."""
+    try:
+        return isinstance(obj, (int, float)) and math.isfinite(obj)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _finite_pair(obj, path: str, names: str) -> tuple[float, float]:
+    _expect(isinstance(obj, list) and len(obj) == 2 and all(_finite(v) for v in obj),
+            path, f"expected a pair {names} of finite numbers")
+    return float(obj[0]), float(obj[1])
 
 
 def _parse_complex_vector(obj, path: str, d: int) -> np.ndarray:
     _expect(isinstance(obj, list) and len(obj) == d, path, f"expected {d} entries")
-    out = np.zeros(d, dtype=complex)
-    for i, cell in enumerate(obj):
-        _expect(isinstance(cell, list) and len(cell) == 2
-                and all(isinstance(v, (int, float)) for v in cell),
-                f"{path}[{i}]", "expected an [re, im] pair")
-        out[i] = complex(cell[0], cell[1])
-    return out
+    return np.array([complex(*_finite_pair(cell, f"{path}[{i}]", "[re, im]"))
+                     for i, cell in enumerate(obj)])
+
+
+def _parse_complex_matrix(obj, path: str, d: int) -> np.ndarray:
+    _expect(isinstance(obj, list) and len(obj) == d, path, f"expected {d} rows")
+    return np.array([_parse_complex_vector(row, f"{path}[{i}]", d)
+                     for i, row in enumerate(obj)])
 
 
 def _positive_number(obj, path: str) -> float:
-    _expect(isinstance(obj, (int, float)) and obj > 0, path, "expected a positive number")
+    _expect(_finite(obj) and obj > 0, path, "expected a finite positive number")
     return float(obj)
 
 
@@ -132,11 +129,10 @@ def _parse_kernel(block: dict):
     if kind == "markov":
         return MarkovDeltaKernel(g=_positive_number(block.get("g"), "kernel.g"))
     samples = block.get("samples")
-    _expect(isinstance(samples, list) and samples
-            and all(isinstance(p, list) and len(p) == 2 for p in samples),
-            "kernel.samples", "expected a non-empty array of [lag, value] pairs")
-    lags = tuple(float(p[0]) for p in samples)
-    values = tuple(float(p[1]) for p in samples)
+    _expect(isinstance(samples, list) and samples, "kernel.samples",
+            "expected a non-empty array of [lag, value] pairs")
+    lags, values = zip(*(_finite_pair(p, f"kernel.samples[{i}]", "[lag, value]")
+                         for i, p in enumerate(samples)))
     try:
         return TabulatedKernel(lags=lags, values=values)
     except ValueError as exc:
@@ -200,14 +196,12 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     _expect(schedule in _SCHEDULES, "schedule.kind",
             "expected one of " + " | ".join(_SCHEDULES))
     delay = sblock.get("delay", 0.0)
-    _expect(isinstance(delay, (int, float)) and delay >= 0, "schedule.delay",
-            "expected a non-negative number")
+    _expect(_finite(delay) and delay >= 0, "schedule.delay",
+            "expected a finite non-negative number")
     delay = float(delay)
     readout_time = sblock.get("t")
     if readout_time is not None:
-        _expect(isinstance(readout_time, (int, float)) and readout_time > 0,
-                "schedule.t", "expected a positive number")
-        readout_time = float(readout_time)
+        readout_time = _positive_number(readout_time, "schedule.t")
         steps = readout_time / eps
         _expect(abs(steps - round(steps)) < 1e-9, "schedule.t",
                 f"must be a multiple of grid.epsilon={eps}")
@@ -220,6 +214,8 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         read_at = readout_time if readout_time is not None else eps * n_steps
         _expect(delay < read_at, "schedule.delay",
                 f"must be smaller than the readout time {read_at} (schedule.t, else the run length)")
+    else:
+        delay = 0.0
 
     pblock = raw.get("sampling")
     _expect(isinstance(pblock, dict), "sampling", "expected an object")
@@ -416,8 +412,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
     model, grid = config.model, config.grid
     A = build_kernel_matrix(config.kernel, grid)
     t = config.measurement_time
-    schedule = config.schedule
-    if schedule == "x-readout":
+    if config.schedule == "x-readout":
         window = grid.window_before(t)
         if record_file is not None:
             values = _load_record_values(record_file, len(window))
@@ -426,7 +421,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
             values = full.values[: len(window)]
         record = NoiseRecord(window=window, values=values, kind="pointer")
         state = conditional_state_pointer(model, A, grid, t, record)
-    elif schedule == "delayed":
+    else:
         read = grid.window_before(t - config.delay)
         if record_file is not None:
             values = _load_record_values(record_file, len(read))
@@ -435,18 +430,9 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
                 KernelMatrix(read, A.submatrix(read)), 1, seed=config.seed)[0].values
         record = NoiseRecord(window=read, values=values)
         state = delayed_state(model, A, grid, t, config.delay, record)
-    else:
-        window = grid.window_before(t)
-        if record_file is not None:
-            values = _load_record_values(record_file, len(window))
-        else:
-            values = sample_readout_prior(
-                KernelMatrix(window, A.submatrix(window)), 1, seed=config.seed)[0].values
-        record = NoiseRecord(window=window, values=values)
-        state = conditional_state_readout(model, A, grid, t, record)
     payload = {
-        "schedule": schedule,
-        "delay": config.delay if schedule == "delayed" else 0.0,
+        "schedule": config.schedule,
+        "delay": config.delay,
         "t": t,
         "record_kind": record.kind,
         "record": [float(v) for v in record.values],

@@ -77,7 +77,12 @@ class Trajectory:
 @dataclass(frozen=True)
 class EnsembleEstimate:
     """Importance-sampled estimate of the open-system state, with
-    per-component standard errors, and the weighted samples behind it."""
+    per-component standard errors, and the weighted samples behind it.
+
+    ``sample_coupling[s, j]`` is weighted: the weight w_s times the
+    conditional expectation of the coupling at step j in sample s, that is
+    Re sum_a W_sa X_aj <psi_s|v_a>, so no sample is divided by its weight.
+    """
 
     n_samples: int
     seed: int
@@ -255,11 +260,10 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
         w = np.einsum("si,si->s", psi, psi.conj()).real
         weights[lo:hi] = w
         num += psi.T @ psi.conj()
-        proj = np.einsum("si,sj->sij", psi, psi.conj()) / w[:, None, None]
-        proj_all[lo:hi] = proj
+        proj_all[lo:hi] = np.einsum("si,sj->sij", psi, psi.conj())
         # <psi | d psi / d z_j> = sum_a W_sa X_aj (psi_s . v_a*), batched over j.
         overlap = psi.conj() @ paths.amplitudes.T
-        coupling_all[lo:hi] = ((W * overlap).real @ Xs) / w[:, None]
+        coupling_all[lo:hi] = (W * overlap).real @ Xs
 
     total = float(np.sum(weights))
     total_sq = float(np.sum(weights ** 2))
@@ -283,11 +287,11 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
         sample_z=z_all, sample_coupling=coupling_all, sample_weights=weights)
 
 
-def _ratio_se(weights: np.ndarray, values: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """Linearized standard error of sum(w v) / sum(w), columnwise."""
-    total = np.sum(weights)
-    dev = weights[:, None] * (values - ratio[None, :])
-    return np.sqrt(np.sum(dev ** 2, axis=0)) / total
+def _ratio_se(weights: np.ndarray, weighted: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Linearized standard error of the ratio sum(w v) / sum(w), columnwise,
+    from the weighted values w v."""
+    dev = weighted - weights[:, None] * ratio[None, :]
+    return np.sqrt(np.sum(dev ** 2, axis=0)) / np.sum(weights)
 
 
 def mean_readout(estimate: EnsembleEstimate, A: KernelMatrix) -> MeanReadoutComparison:
@@ -301,17 +305,14 @@ def mean_readout(estimate: EnsembleEstimate, A: KernelMatrix) -> MeanReadoutComp
     window = estimate.window
     k = len(window) - 1
     row = 2.0 * A.submatrix(window)[k, :]
-    lhs_samples = estimate.sample_z[:, k]
-    rhs_samples = estimate.sample_coupling @ row
     w = estimate.sample_weights
+    lhs_w = w * estimate.sample_z[:, k]
+    rhs_w = estimate.sample_coupling @ row
+    diff_w = lhs_w - rhs_w
     total = float(np.sum(w))
-    lhs = float(w @ lhs_samples / total)
-    rhs = float(w @ rhs_samples / total)
-    diff_samples = lhs_samples - rhs_samples
-    diff = float(w @ diff_samples / total)
-    lhs_se = float(_ratio_se(w, lhs_samples[:, None], np.array([lhs]))[0])
-    rhs_se = float(_ratio_se(w, rhs_samples[:, None], np.array([rhs]))[0])
-    diff_se = float(_ratio_se(w, diff_samples[:, None], np.array([diff]))[0])
+    lhs, rhs, diff = (float(np.sum(v) / total) for v in (lhs_w, rhs_w, diff_w))
+    lhs_se, rhs_se, diff_se = (float(_ratio_se(w, v[:, None], np.array([r]))[0])
+                               for v, r in ((lhs_w, lhs), (rhs_w, rhs), (diff_w, diff)))
     return MeanReadoutComparison(estimated=lhs, estimated_se=lhs_se,
                                  predicted=rhs, predicted_se=rhs_se,
                                  difference=diff, difference_se=diff_se)

@@ -58,7 +58,7 @@ def criterion_readout_equivalence(seed: int) -> dict:
     records = noise.sample_readout_prior(A, 100, seed=seed)
     tds, dlogs = [], []
     for rec in records:
-        cond = chain.conditional_state_readout(model, A, grid, _T_FINAL, rec)
+        cond = chain.delayed_state(model, A, grid, _T_FINAL, 0.0, rec)
         traj = trajectories.solve_unnormalized(model, A, grid, _T_FINAL, rec)
         rho_psi = DensityOperator.from_state(traj.normalized_final_state)
         tds.append(trace_distance(cond.rho, rho_psi))
@@ -167,7 +167,7 @@ def criterion_readout_purity(seed: int) -> dict:
     records = noise.sample_readout_prior(A, 100, seed=seed)
     devs = []
     for rec in records:
-        cond = chain.conditional_state_readout(model, A, grid, _T_FINAL, rec)
+        cond = chain.delayed_state(model, A, grid, _T_FINAL, 0.0, rec)
         devs.append(abs(cond.rho.purity - 1.0))
     return _criterion(6, "readout-purity", [
         _check("max |purity - 1|", max(devs), 1e-10),

@@ -101,7 +101,7 @@ def test_pair_sum_holds_no_full_pair_array(default_model):
     rec = nt.sample_readout_prior(A, 1, seed=3)[0]
     tracemalloc.start()
     try:
-        state = nt.conditional_state_readout(default_model, A, grid, 1.1, rec)
+        state = nt.delayed_state(default_model, A, grid, 1.1, 0.0, rec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -278,7 +278,7 @@ def test_pointer_state_mixed_for_noncommuting(default_model):
 def test_readout_state_zero_coupling(zero_coupling_model, A8, grid8):
     window = grid8.window_before(0.8)
     rec = nt.sample_readout_prior(A8, 1, seed=4)[0]
-    state = nt.conditional_state_readout(zero_coupling_model, A8, grid8, 0.8, rec)
+    state = nt.delayed_state(zero_coupling_model, A8, grid8, 0.8, 0.0, rec)
     U = np.linalg.matrix_power(nt.free_step(zero_coupling_model, 0.1), 8)
     expected = DensityOperator.from_state(U @ zero_coupling_model.initial_state)
     assert nt.trace_distance(state.rho, expected) <= 1e-12
@@ -287,7 +287,7 @@ def test_readout_state_zero_coupling(zero_coupling_model, A8, grid8):
 
 def test_readout_state_purity_one(default_model, A8, grid8):
     for rec in nt.sample_readout_prior(A8, 20, seed=6):
-        state = nt.conditional_state_readout(default_model, A8, grid8, 0.8, rec)
+        state = nt.delayed_state(default_model, A8, grid8, 0.8, 0.0, rec)
         assert abs(state.rho.purity - 1.0) <= 1e-10
 
 
@@ -300,7 +300,7 @@ def test_readout_state_single_step_closed_form():
     a = A.entries[0, 0]
     z = 0.12
     rec = NoiseRecord(window=range(0, 1), values=[z])
-    state = nt.conditional_state_readout(model, A, grid, 0.1, rec)
+    state = nt.delayed_state(model, A, grid, 0.1, 0.0, rec)
     w_up = np.exp(2 * z - 2 * a)
     w_dn = np.exp(-2 * z - 2 * a)
     assert state.rho.matrix[0, 0].real == pytest.approx(w_up / (w_up + w_dn), abs=1e-12)
@@ -324,7 +324,7 @@ def test_readout_unraveling_by_quadrature(default_model, steps):
     total = 0.0
     for pt, wt in zip(pts, wts):
         rec = NoiseRecord(window=window, values=pt)
-        state = nt.conditional_state_readout(default_model, A, grid, t, rec)
+        state = nt.delayed_state(default_model, A, grid, t, 0.0, rec)
         like = np.exp(state.log_weight - prior.logpdf(pt))
         acc += wt * like * state.rho.matrix
         total += wt * like
@@ -357,14 +357,6 @@ def test_pointer_unraveling_by_quadrature(default_model, steps):
 
 
 # ----------------------------------------------------------- delayed
-
-
-def test_delayed_state_zero_delay_reduces_to_readout(default_model, A8, grid8):
-    rec = nt.sample_readout_prior(A8, 1, seed=8)[0]
-    delayed = nt.delayed_state(default_model, A8, grid8, 0.8, 0.0, rec)
-    direct = nt.conditional_state_readout(default_model, A8, grid8, 0.8, rec)
-    assert nt.trace_distance(delayed.rho, direct.rho) <= 1e-12
-    assert delayed.log_weight == pytest.approx(direct.log_weight, abs=1e-10)
 
 
 def test_delayed_state_full_delay_reduces_to_reduced(default_model, A8, grid8):

@@ -276,7 +276,7 @@ def test_ensemble_smoke_budget(tmp_path):
     assert time.monotonic() - start < 5.0
 
 
-@pytest.mark.parametrize("schedule", ["zero-delay", "all-in-one", "x-readout"])
+@pytest.mark.parametrize("schedule", ["zero-delay", "x-readout"])
 def test_detector_schedules(tmp_path, schedule):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.json",
@@ -293,6 +293,15 @@ def test_detector_schedules(tmp_path, schedule):
     else:
         assert report["purity"] == pytest.approx(1.0, abs=1e-10)
         assert report["record_kind"] == "readout"
+
+
+def test_all_in_one_schedule_is_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json",
+                        schedule={"kind": "all-in-one", "delay": 0.0},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run(["detector", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: schedule.kind: expected one of zero-delay | delayed | x-readout\n"
 
 
 def test_detector_delayed_schedule(tmp_path):
@@ -393,6 +402,44 @@ def test_x_readout_detector_factors_the_read_window_once(tmp_path, monkeypatch,
         argv += ["--record-file", str(xfile)]
     assert _run(argv) == 0
     assert made == windows
+
+
+_NAN_HAMILTONIAN = {**_ZERO_COUPLING_MODEL,
+                    "hamiltonian": [[[float("nan"), 0.0], [1.0, 0.0]],
+                                    [[1.0, 0.0], [0.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("blocks, extra, field", [
+    ({"kernel": {"kind": "tabulated", "samples": [["a", 1.0]]}}, [], "kernel.samples[0]"),
+    ({"kernel": {"kind": "tabulated", "samples": [[None, 1.0]]}}, [], "kernel.samples[0]"),
+    ({"kernel": {"kind": "exponential", "lambda": float("inf")}}, [], "kernel.lambda"),
+    ({"grid": {"epsilon": float("inf"), "n_steps": 8}}, [], "grid.epsilon"),
+    ({}, ["--schedule", "delayed", "--delay", "inf"], "schedule.delay"),
+    ({"model": _NAN_HAMILTONIAN}, [], "model.hamiltonian[0][0]"),
+], ids=["string-lag", "null-lag", "infinite-lambda", "infinite-epsilon", "infinite-delay",
+        "nan-hamiltonian"])
+def test_non_finite_config_numbers(tmp_path, capsys, blocks, extra, field):
+    # json.loads accepts NaN and Infinity, and json.dumps writes them.
+    cfg = _write_config(tmp_path / "cfg.json",
+                        output={"directory": str(tmp_path / "out"), "format": "csv"}, **blocks)
+    assert _run(["detector", "--config", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "detector"])
+def test_pair_budget_refuses_before_the_pair_sum(tmp_path, capsys, command):
+    # 16 noncommuting steps hold 2^16 paths, within the path budget; the
+    # pair sums would evaluate 4^16 pair exponents in the last row alone.
+    import time
+    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": 0.1, "n_steps": 16},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    start = time.monotonic()
+    assert _run([command, "--config", cfg]) == 1
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "path pairs exceed the pair budget" in err
+    assert "Traceback" not in err
 
 
 def test_verify_surfaces_invalid_kernel(tmp_path, capsys):

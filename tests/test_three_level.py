@@ -46,7 +46,7 @@ def test_qutrit_reduced_state_valid(setup):
 def test_qutrit_readout_equivalence(setup):
     model, grid, A = setup
     for rec in nt.sample_readout_prior(A, 10, seed=21):
-        cond = nt.conditional_state_readout(model, A, grid, 0.6, rec)
+        cond = nt.delayed_state(model, A, grid, 0.6, 0.0, rec)
         traj = nt.solve_unnormalized(model, A, grid, 0.6, rec)
         rho_psi = DensityOperator.from_state(traj.normalized_final_state)
         assert nt.trace_distance(cond.rho, rho_psi) <= 1e-10

@@ -49,7 +49,7 @@ def test_solve_matches_chain_readout_states(default_model, A8, grid8):
     for rec in nt.sample_readout_prior(A8, 10, seed=4):
         traj = nt.solve_unnormalized(default_model, A8, grid8, 0.8, rec)
         rho_psi = DensityOperator.from_state(traj.normalized_final_state)
-        cond = nt.conditional_state_readout(default_model, A8, grid8, 0.8, rec)
+        cond = nt.delayed_state(default_model, A8, grid8, 0.8, 0.0, rec)
         assert nt.trace_distance(cond.rho, rho_psi) <= 1e-10
         assert abs(cond.log_weight - nt.readout_pdf(traj, A8)) <= 1e-10
 
