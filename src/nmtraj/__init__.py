@@ -11,6 +11,7 @@ from .errors import (
     ConfigError,
     DegenerateState,
     DegenerateWeights,
+    KernelBudgetExceeded,
     NmtrajError,
     NotPositiveDefinite,
     PathBudgetExceeded,
@@ -61,11 +62,9 @@ from .trajectories import (
     MeanReadoutComparison,
     Trajectory,
     ensemble_average,
-    mean_readout,
     readout_derivatives,
     readout_pdf,
     residual_check,
-    retarded_expectation,
     solve_unnormalized,
 )
 

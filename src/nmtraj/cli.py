@@ -35,7 +35,7 @@ from .kernels import (
 )
 from .noise import NoiseRecord, sample_pointer_prior, sample_readout_prior
 from .quantum import ModelSpec, eigendecompose_coupling
-from .trajectories import ensemble_average, mean_readout, solve_unnormalized
+from .trajectories import ensemble_average, solve_unnormalized
 
 _SCHEDULES = ("zero-delay", "delayed", "x-readout")
 
@@ -89,9 +89,10 @@ def _expect(cond: bool, path: str, message: str):
 
 
 def _finite(obj) -> bool:
-    """A JSON number other than NaN and +-Infinity (which json.loads accepts)."""
+    """A JSON number other than NaN and +-Infinity (which json.loads accepts);
+    true and false are not numbers, although bool subclasses int."""
     try:
-        return isinstance(obj, (int, float)) and math.isfinite(obj)
+        return type(obj) in (int, float) and math.isfinite(obj)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -171,7 +172,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     mblock = raw.get("model")
     _expect(isinstance(mblock, dict), "model", "expected an object")
     dim = mblock.get("dim")
-    _expect(isinstance(dim, int) and dim >= 2, "model.dim", "expected an integer >= 2")
+    _expect(type(dim) is int and dim >= 2, "model.dim", "expected an integer >= 2")
     H = _parse_complex_matrix(mblock.get("hamiltonian"), "model.hamiltonian", dim)
     X = _parse_complex_matrix(mblock.get("coupling"), "model.coupling", dim)
     psi0 = _parse_complex_vector(mblock.get("initial_state"), "model.initial_state", dim)
@@ -186,7 +187,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     _expect(isinstance(gblock, dict), "grid", "expected an object")
     eps = _positive_number(gblock.get("epsilon"), "grid.epsilon")
     n_steps = gblock.get("n_steps")
-    _expect(isinstance(n_steps, int) and n_steps >= 1, "grid.n_steps",
+    _expect(type(n_steps) is int and n_steps >= 1, "grid.n_steps",
             "expected an integer >= 1")
     grid = TimeGrid(epsilon=eps, n_steps=n_steps)
 
@@ -220,10 +221,10 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     pblock = raw.get("sampling")
     _expect(isinstance(pblock, dict), "sampling", "expected an object")
     n_samples = pblock.get("n_samples")
-    _expect(isinstance(n_samples, int) and n_samples >= 1, "sampling.n_samples",
+    _expect(type(n_samples) is int and n_samples >= 1, "sampling.n_samples",
             "expected a positive integer")
     seed = pblock.get("seed")
-    _expect(isinstance(seed, int) and 0 <= seed < 2 ** 64, "sampling.seed",
+    _expect(type(seed) is int and 0 <= seed < 2 ** 64, "sampling.seed",
             "expected an unsigned 64-bit integer")
 
     oblock = raw.get("output")
@@ -383,7 +384,7 @@ def cmd_ensemble(config: RunConfig) -> list[Path]:
     t = config.final_time
     est = ensemble_average(model, A, grid, t, n_samples=config.n_samples,
                            seed=config.seed)
-    comparison = mean_readout(est, A)
+    comparison = est.mean_readout
     payload = {
         "t": t,
         "n_samples": est.n_samples,

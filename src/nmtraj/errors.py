@@ -21,6 +21,10 @@ class PathBudgetExceeded(NmtrajError):
     """
 
 
+class KernelBudgetExceeded(NmtrajError):
+    """A kernel matrix would hold more entries than KERNEL_ENTRY_BUDGET."""
+
+
 class DegenerateWeights(NmtrajError):
     """Importance weights collapsed onto too few samples (tiny effective
     sample size); the ensemble estimate would be unreliable."""

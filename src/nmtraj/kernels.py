@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import KernelBudgetExceeded, NotPositiveDefinite
 
 #: Relative tolerance on the smallest eigenvalue of a kernel matrix.
 PSD_RTOL = 1e-12
@@ -33,6 +33,9 @@ CONDITION_CAP = 1e12
 
 #: Residual demanded of inverses and Cholesky reconstructions.
 INVERSE_RTOL = 1e-10
+
+#: Most entries one kernel matrix may hold: a 4096-step window, 128 MiB.
+KERNEL_ENTRY_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -159,15 +162,20 @@ class KernelMatrix:
 def build_kernel_matrix(kernel, grid: TimeGrid, window: range | None = None) -> KernelMatrix:
     """Discretize a memory kernel over a grid window.
 
-    Raises NotPositiveDefinite if the smallest eigenvalue falls below
-    -PSD_RTOL times the spectral norm (the signature of an invalid
-    tabulated kernel).
+    Raises KernelBudgetExceeded, before any allocation, if the window needs
+    more than KERNEL_ENTRY_BUDGET entries, and NotPositiveDefinite if the
+    smallest eigenvalue falls below -PSD_RTOL times the spectral norm (the
+    signature of an invalid tabulated kernel).
     """
     if window is None:
         window = grid.full_window
     if window.start < 0 or window.stop > grid.n_steps or window.step != 1:
         raise ValueError(f"window {window} not contained in the grid")
     n = len(window)
+    if n * n > KERNEL_ENTRY_BUDGET:
+        raise KernelBudgetExceeded(
+            f"a {n}-step window needs {n * n} kernel entries, over the budget "
+            f"{KERNEL_ENTRY_BUDGET}; reduce the step count")
     eps = grid.epsilon
     if kernel.kind == "markov":
         entries = (eps * kernel.g ** 2) * np.eye(n)

@@ -40,6 +40,8 @@ from .chain import DEFAULT_PATH_BUDGET, _walk_paths, build_paths
 _STREAM_ENSEMBLE = 0x45
 _ENSEMBLE_CHUNK = 8192
 _MIN_EFFECTIVE_SAMPLES = 10.0
+#: Most path weights (records x paths) one evaluator block holds.
+_WEIGHT_BLOCK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,11 @@ class Trajectory:
     exact identity of the discrete weights (the bare operator transported to
     the final time differs at first order in the kernel weights for
     noncommuting models, and measurably fails the law); for commuting models
-    the two readings coincide.  ``retarded[k - 1]`` is retarded_expectation
-    of the same record cut after k steps, taken from the same walk.
+    the two readings coincide.  ``retarded[k - 1]`` is the retarded readout
+    after k steps: twice the kernel row of step k - 1 against the
+    conditional expectations of the record cut after k steps, taken from the
+    same walk.  For the exponential kernel it is (eps times) the
+    left-endpoint discretization of rate * integral exp(-rate (t - s)) <X_s> ds.
     """
 
     record: NoiseRecord
@@ -77,22 +82,15 @@ class Trajectory:
 @dataclass(frozen=True)
 class EnsembleEstimate:
     """Importance-sampled estimate of the open-system state, with
-    per-component standard errors, and the weighted samples behind it.
-
-    ``sample_coupling[s, j]`` is weighted: the weight w_s times the
-    conditional expectation of the coupling at step j in sample s, that is
-    Re sum_a W_sa X_aj <psi_s|v_a>, so no sample is divided by its weight.
-    """
+    per-component standard errors, the readout-mean law on the same
+    weighted samples, and the samples' weights."""
 
     n_samples: int
     seed: int
-    window: range
     rho: DensityOperator
     rho_se: np.ndarray            # (dim, dim) combined re/im standard errors
     effective_sample_size: float
-    # Per-sample arrays kept for paired comparisons (readout-mean law).
-    sample_z: np.ndarray = field(repr=False)
-    sample_coupling: np.ndarray = field(repr=False)
+    mean_readout: MeanReadoutComparison
     sample_weights: np.ndarray = field(repr=False)
 
     @property
@@ -118,6 +116,34 @@ class MeanReadoutComparison:
         return abs(self.difference) / self.difference_se
 
 
+def _path_weights(Z: np.ndarray, Xs: np.ndarray, A_w: np.ndarray) -> np.ndarray:
+    """Direct path weights W_sa = exp(z_s . X_a - X_a . A_w X_a) of every
+    record row z_s of Z and eigenvalue history X_a (row of Xs)."""
+    quad = np.einsum("pk,pk->p", Xs, Xs @ A_w)
+    return np.exp(Z @ Xs.T - quad[None, :])
+
+
+def _evaluate(Z: np.ndarray, Xs: np.ndarray, amps: np.ndarray,
+              A_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States psi_s = sum_a W_sa v_a of the record rows of Z, and their
+    weighted couplings c_sj = Re sum_a W_sa X_aj <psi_s|v_a>, that is
+    Re <psi_s | d psi_s / d z_j>, so no record is divided by its weight.
+
+    Works in row blocks of at most _WEIGHT_BLOCK weights.
+    """
+    psi = np.empty((Z.shape[0], amps.shape[1]), dtype=complex)
+    coupling = np.empty(Z.shape)
+    rows = max(1, _WEIGHT_BLOCK // amps.shape[0])
+    for lo in range(0, Z.shape[0], rows):
+        W = _path_weights(Z[lo:lo + rows], Xs, A_w)
+        psi[lo:lo + rows] = W @ amps
+        overlap = psi[lo:lo + rows].conj() @ amps.T
+        overlap *= W
+        coupling[lo:lo + rows] = overlap.real @ Xs
+        del W, overlap  # free this block before the next one is weighed
+    return psi, coupling
+
+
 def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
                        record: NoiseRecord,
                        path_budget: int = DEFAULT_PATH_BUDGET) -> Trajectory:
@@ -138,23 +164,18 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
     conds = []  # per prefix, conditional expectations times the squared norm
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the norms below
         for k, (amps, hist) in enumerate(_walk_paths(model, grid, n, path_budget, eig)):
-            Xs = eig.eigenvalues[hist.astype(int)]
-            logw = Xs @ z[:k] - np.einsum("pk,pk->p", Xs, Xs @ A_w[:k, :k])
-            w = np.exp(logw)
-            states[k] = w @ amps
-            if k:
-                # <psi | d psi / d z_j> for every j < k, one dot product per row.
-                derivs = (w[:, None] * Xs).T @ amps
-                conds.append((states[k].conj() @ derivs[:, :, None])[:, 0].real)
+            psi, coupling = _evaluate(z[None, :k], eig.eigenvalues[hist.astype(int)], amps,
+                                      A_w[:k, :k])
+            states[k] = psi[0]
+            conds.append(coupling[0])
 
     norms = np.linalg.norm(states, axis=1)
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise DegenerateState("trajectory state norm overflowed or vanished; the record "
                               "values are out of the range this path sum can represent")
-    conds = [c / norms[k] ** 2 for k, c in enumerate(conds, 1)]
-    retarded = np.array([2.0 * A_w[k - 1, :k] @ c for k, c in enumerate(conds, 1)])
-    cond = conds[-1] if n else np.zeros(0)
-    return Trajectory(record=record, states=states, norms=norms, cond_expectations=cond,
+    conds = [c / norms[k] ** 2 for k, c in enumerate(conds)]
+    retarded = np.array([2.0 * A_w[k - 1, :k] @ conds[k] for k in range(1, n + 1)])
+    return Trajectory(record=record, states=states, norms=norms, cond_expectations=conds[-1],
                       retarded=retarded)
 
 
@@ -174,7 +195,7 @@ def readout_derivatives(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: fl
     window = grid.window_before(t)
     paths = build_paths(model, grid, window, path_budget)
     Xs = paths.eigenvalue_sequences
-    w = np.exp(Xs @ record.values - np.einsum("pk,pk->p", Xs, Xs @ A.submatrix(window)))
+    w = _path_weights(record.values[None, :], Xs, A.submatrix(window))[0]
     return (Xs * w[:, None]).T @ paths.amplitudes
 
 
@@ -230,40 +251,39 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     Records are drawn from the window prior and each pure state enters with
     weight |Psi|^2, so the weighted mean of normalized projectors is exactly
     the sum of unnormalized outer products over the sum of weights.  The
-    estimator's trace is 1 by construction.  Raises DegenerateWeights when
-    the weight sums leave the float range or the effective sample size
-    drops below 10.
+    estimator's trace is 1 by construction.  The same weighted samples give
+    the readout-mean law at the final step: the mean readout against the
+    kernel-weighted mean of conditional coupling expectations.  Raises
+    DegenerateWeights when the weight sums leave the float range or the
+    effective sample size drops below 10.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     window = grid.window_before(t)
-    n = len(window)
     A_w = A.submatrix(window)
     prior = readout_prior(KernelMatrix(window, A_w))
     paths = build_paths(model, grid, window, path_budget)
-    Xs = paths.eigenvalue_sequences
-    quad = np.einsum("pk,pk->p", Xs, Xs @ A_w)
+    last_row = 2.0 * A_w[-1, :]
 
     rng = _generator(seed, _STREAM_ENSEMBLE)
     d = model.dim
-    z_all = np.empty((n_samples, n))
-    coupling_all = np.empty((n_samples, n))
     weights = np.empty(n_samples)
+    # The readout-mean law's two sides per sample, both times the weight:
+    # w z_{n-1} and c . 2 A_w[n-1, :].
+    lhs_w = np.empty(n_samples)
+    rhs_w = np.empty(n_samples)
     proj_all = np.empty((n_samples, d, d), dtype=complex)
     num = np.zeros((d, d), dtype=complex)
     for lo in range(0, n_samples, _ENSEMBLE_CHUNK):
         hi = min(lo + _ENSEMBLE_CHUNK, n_samples)
         z = prior.sample(hi - lo, rng)
-        z_all[lo:hi] = z
-        W = np.exp(z @ Xs.T - quad[None, :])
-        psi = W @ paths.amplitudes
+        psi, coupling = _evaluate(z, paths.eigenvalue_sequences, paths.amplitudes, A_w)
         w = np.einsum("si,si->s", psi, psi.conj()).real
         weights[lo:hi] = w
+        lhs_w[lo:hi] = w * z[:, -1]
+        rhs_w[lo:hi] = coupling @ last_row
         num += psi.T @ psi.conj()
         proj_all[lo:hi] = np.einsum("si,sj->sij", psi, psi.conj())
-        # <psi | d psi / d z_j> = sum_a W_sa X_aj (psi_s . v_a*), batched over j.
-        overlap = psi.conj() @ paths.amplitudes.T
-        coupling_all[lo:hi] = (W * overlap).real @ Xs
 
     total = float(np.sum(weights))
     total_sq = float(np.sum(weights ** 2))
@@ -281,10 +301,17 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
         _ratio_se(weights, proj_all.real.reshape(n_samples, -1), rho.matrix.real.ravel()) ** 2
         + _ratio_se(weights, proj_all.imag.reshape(n_samples, -1), rho.matrix.imag.ravel()) ** 2
     ).reshape(d, d)
+    # The per-sample difference carries the comparison, so shared Monte Carlo
+    # fluctuations cancel and its standard error is that of the discrepancy.
+    sides = (lhs_w, rhs_w, lhs_w - rhs_w)
+    means = [float(np.sum(v) / total) for v in sides]
+    ses = [float(_ratio_se(weights, v[:, None], np.array([m]))[0]) for v, m in zip(sides, means)]
+    comparison = MeanReadoutComparison(
+        estimated=means[0], estimated_se=ses[0], predicted=means[1], predicted_se=ses[1],
+        difference=means[2], difference_se=ses[2])
     return EnsembleEstimate(
-        n_samples=n_samples, seed=seed, window=window, rho=rho, rho_se=rho_se,
-        effective_sample_size=float(ess),
-        sample_z=z_all, sample_coupling=coupling_all, sample_weights=weights)
+        n_samples=n_samples, seed=seed, rho=rho, rho_se=rho_se,
+        effective_sample_size=float(ess), mean_readout=comparison, sample_weights=weights)
 
 
 def _ratio_se(weights: np.ndarray, weighted: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -292,45 +319,3 @@ def _ratio_se(weights: np.ndarray, weighted: np.ndarray, ratio: np.ndarray) -> n
     from the weighted values w v."""
     dev = weighted - weights[:, None] * ratio[None, :]
     return np.sqrt(np.sum(dev ** 2, axis=0)) / np.sum(weights)
-
-
-def mean_readout(estimate: EnsembleEstimate, A: KernelMatrix) -> MeanReadoutComparison:
-    """Compare the final step's mean readout against the kernel-weighted mean
-    of conditional coupling expectations, on the same weighted samples.
-
-    The per-sample difference carries the comparison, so shared Monte Carlo
-    fluctuations cancel and the reported standard error is the error of the
-    discrepancy itself.
-    """
-    window = estimate.window
-    k = len(window) - 1
-    row = 2.0 * A.submatrix(window)[k, :]
-    w = estimate.sample_weights
-    lhs_w = w * estimate.sample_z[:, k]
-    rhs_w = estimate.sample_coupling @ row
-    diff_w = lhs_w - rhs_w
-    total = float(np.sum(w))
-    lhs, rhs, diff = (float(np.sum(v) / total) for v in (lhs_w, rhs_w, diff_w))
-    lhs_se, rhs_se, diff_se = (float(_ratio_se(w, v[:, None], np.array([r]))[0])
-                               for v, r in ((lhs_w, lhs), (rhs_w, rhs), (diff_w, diff)))
-    return MeanReadoutComparison(estimated=lhs, estimated_se=lhs_se,
-                                 predicted=rhs, predicted_se=rhs_se,
-                                 difference=diff, difference_se=diff_se)
-
-
-def retarded_expectation(trajectory: Trajectory, A: KernelMatrix, grid: TimeGrid,
-                         t: float | None = None) -> float:
-    """Causally smeared coupling expectation attached to the latest readout:
-    twice the last kernel row against the trajectory's conditional
-    expectations (which live in the final normalized state, so t must be the
-    trajectory's own end time).
-
-    For the exponential kernel this is (eps times) the left-endpoint
-    discretization of rate * integral of exp(-rate (t - s)) <X_s> ds.
-    """
-    window = trajectory.record.window
-    n = len(window)
-    if t is not None and grid.steps_of(t) != window.stop:
-        raise ValueError("t must be the trajectory's final time")
-    row = A.submatrix(window)[n - 1, :]
-    return float(2.0 * row @ trajectory.cond_expectations)

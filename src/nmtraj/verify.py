@@ -86,10 +86,9 @@ def criterion_ensemble_unraveling(est_bundle) -> dict:
 
 
 def criterion_mean_readout_law(est_bundle) -> dict:
-    model, grid, A, est = est_bundle
-    comparison = trajectories.mean_readout(est, A)
+    est = est_bundle[3]
     return _criterion(3, "readout-mean-law", [
-        _check("two-sided discrepancy in SE units", comparison.sigma_units, 3.0),
+        _check("two-sided discrepancy in SE units", est.mean_readout.sigma_units, 3.0),
     ])
 
 

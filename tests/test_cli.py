@@ -126,8 +126,7 @@ def test_trajectory_from_file_and_retarded_column(tmp_path):
     A = nt.build_kernel_matrix(config.kernel, config.grid)
     rec = nt.NoiseRecord(window=config.grid.full_window, values=values)
     traj = nt.solve_unnormalized(config.model, A, config.grid, 0.8, rec)
-    assert float(rows[-1][retcol]) == pytest.approx(
-        nt.retarded_expectation(traj, A, config.grid), rel=1e-12)
+    assert float(rows[-1][retcol]) == pytest.approx(traj.retarded[-1], rel=1e-12)
 
 
 def test_trajectory_z_file_alone_is_the_record(tmp_path):
@@ -416,15 +415,34 @@ _NAN_HAMILTONIAN = {**_ZERO_COUPLING_MODEL,
     ({"grid": {"epsilon": float("inf"), "n_steps": 8}}, [], "grid.epsilon"),
     ({}, ["--schedule", "delayed", "--delay", "inf"], "schedule.delay"),
     ({"model": _NAN_HAMILTONIAN}, [], "model.hamiltonian[0][0]"),
+    ({"kernel": {"kind": "exponential", "lambda": True}}, [], "kernel.lambda"),
+    ({"grid": {"epsilon": 0.1, "n_steps": True}}, [], "grid.n_steps"),
+    ({"sampling": {"n_samples": True, "seed": 1}}, [], "sampling.n_samples"),
+    ({"sampling": {"n_samples": 100, "seed": True}}, [], "sampling.seed"),
 ], ids=["string-lag", "null-lag", "infinite-lambda", "infinite-epsilon", "infinite-delay",
-        "nan-hamiltonian"])
+        "nan-hamiltonian", "boolean-lambda", "boolean-steps", "boolean-samples",
+        "boolean-seed"])
 def test_non_finite_config_numbers(tmp_path, capsys, blocks, extra, field):
-    # json.loads accepts NaN and Infinity, and json.dumps writes them.
+    # json.loads accepts NaN and Infinity, and json.dumps writes them; true
+    # and false are not numbers although Python's bool subclasses int.
     cfg = _write_config(tmp_path / "cfg.json",
                         output={"directory": str(tmp_path / "out"), "format": "csv"}, **blocks)
     assert _run(["detector", "--config", cfg, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: expected ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "trajectory", "ensemble", "detector", "verify"])
+def test_kernel_budget_refuses_before_allocating(tmp_path, capsys, command):
+    # A million steps would need a 7.3 TiB kernel matrix.
+    import time
+    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": 0.1, "n_steps": 1_000_000},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    start = time.monotonic()
+    assert _run([command, "--config", cfg]) == 1
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 1000000-step window needs ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["evolve", "detector"])

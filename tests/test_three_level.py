@@ -70,8 +70,7 @@ def test_qutrit_ensemble_matches_path_sum(setup):
     est = nt.ensemble_average(model, A, grid, 0.6, n_samples=20000, seed=23)
     exact = nt.reduced_state(model, A, grid, 0.6)
     assert nt.trace_distance(est.rho, exact) <= 3.0 * est.pooled_rho_se
-    comparison = nt.mean_readout(est, A)
-    assert comparison.sigma_units <= 3.0
+    assert est.mean_readout.sigma_units <= 3.0
 
 
 def test_qutrit_delayed_partial_average(setup):

@@ -135,8 +135,24 @@ def test_ensemble_degenerate_weights():
 def test_ensemble_seed_reproducibility(default_model, A8, grid8):
     a = nt.ensemble_average(default_model, A8, grid8, 0.8, n_samples=500, seed=11)
     b = nt.ensemble_average(default_model, A8, grid8, 0.8, n_samples=500, seed=11)
-    assert np.array_equal(a.sample_z, b.sample_z)
+    assert np.array_equal(a.sample_weights, b.sample_weights)
     assert np.array_equal(a.rho.matrix, b.rho.matrix)
+
+
+@pytest.mark.parametrize("steps", [11, 13])
+def test_ensemble_memory_is_bounded_by_the_weight_block(default_model, steps):
+    # 2000 samples over 2^11 or 2^13 paths: whole sample x path arrays would
+    # take 31 or 125 MiB apiece; the evaluator's blocks hold 2^20 weights.
+    import tracemalloc
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    tracemalloc.start()
+    try:
+        nt.ensemble_average(default_model, A, grid, steps * 0.1, n_samples=2000, seed=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 # ------------------------------------------------------------ mean readout
@@ -145,7 +161,7 @@ def test_ensemble_seed_reproducibility(default_model, A8, grid8):
 def test_mean_readout_zero_coupling(zero_coupling_model, A8, grid8):
     est = nt.ensemble_average(zero_coupling_model, A8, grid8, 0.8,
                               n_samples=2000, seed=12)
-    cmp = nt.mean_readout(est, A8)
+    cmp = est.mean_readout
     assert cmp.predicted == 0.0
     assert abs(cmp.estimated) <= 3.0 * cmp.estimated_se
     assert cmp.sigma_units <= 3.0
@@ -157,7 +173,7 @@ def test_mean_readout_dephasing_frozen_expectation(A8, grid8):
     model = nt.ModelSpec(dim=2, hamiltonian=np.zeros((2, 2)), coupling=nt.sigma_z(),
                          initial_state=np.array([1.0, 0.0], dtype=complex))
     est = nt.ensemble_average(model, A8, grid8, 0.8, n_samples=20000, seed=13)
-    cmp = nt.mean_readout(est, A8)
+    cmp = est.mean_readout
     expected = 2.0 * float(np.sum(A8.entries[-1, :]))
     assert cmp.predicted == pytest.approx(expected, abs=1e-12)
     assert cmp.sigma_units <= 3.0
@@ -165,7 +181,7 @@ def test_mean_readout_dephasing_frozen_expectation(A8, grid8):
 
 def test_mean_readout_noncommuting_two_sided(default_model, A8, grid8):
     est = nt.ensemble_average(default_model, A8, grid8, 0.8, n_samples=50000, seed=14)
-    cmp = nt.mean_readout(est, A8)
+    cmp = est.mean_readout
     assert cmp.sigma_units <= 3.0
 
 
@@ -179,7 +195,7 @@ def test_retarded_single_step():
     rec = NoiseRecord(window=range(0, 1), values=[0.3])
     traj = nt.solve_unnormalized(model, A, grid, 0.1, rec)
     expected = 2.0 * A.entries[0, 0] * traj.cond_expectations[0]
-    assert nt.retarded_expectation(traj, A, grid) == pytest.approx(expected, rel=1e-12)
+    assert traj.retarded[-1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_retarded_eigenstate_constant_history(A8, grid8):
@@ -189,7 +205,7 @@ def test_retarded_eigenstate_constant_history(A8, grid8):
     traj = nt.solve_unnormalized(model, A8, grid8, 0.8, rec)
     assert np.allclose(traj.cond_expectations, 1.0, atol=1e-12)
     expected = 2.0 * float(np.sum(A8.entries[-1, :]))
-    assert nt.retarded_expectation(traj, A8, grid8) == pytest.approx(expected, rel=1e-12)
+    assert traj.retarded[-1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_retarded_exponential_quadratures_agree_to_first_order():
@@ -206,7 +222,7 @@ def test_retarded_exponential_quadratures_agree_to_first_order():
         values = eps * 0.2 * np.cos(3.0 * grid.times)
         rec = NoiseRecord(window=grid.full_window, values=values)
         traj = nt.solve_unnormalized(model, A, grid, t, rec)
-        discrete = nt.retarded_expectation(traj, A, grid) / eps
+        discrete = traj.retarded[-1] / eps
         s = grid.times
         integrand = rate * np.exp(-rate * (t - eps - s)) * traj.cond_expectations
         trapezoid = np.trapezoid(integrand, dx=eps)
@@ -214,15 +230,6 @@ def test_retarded_exponential_quadratures_agree_to_first_order():
 
     g1, g2 = gap(0.1), gap(0.05)
     assert g1 / g2 == pytest.approx(2.0, abs=0.6)
-
-
-def test_retarded_requires_final_time(default_model, A8, grid8):
-    rec = nt.sample_readout_prior(A8, 1, seed=16)[0]
-    traj = nt.solve_unnormalized(default_model, A8, grid8, 0.8, rec)
-    with pytest.raises(ValueError):
-        nt.retarded_expectation(traj, A8, grid8, t=0.4)
-    value = nt.retarded_expectation(traj, A8, grid8, t=0.8)
-    assert np.isfinite(value)
 
 
 def _retarded_cases(default_model, A8, grid8):
@@ -246,7 +253,7 @@ def test_one_pass_retarded_matches_prefix_solves(case, default_model, A8, grid8)
             sub = NoiseRecord(window=range(0, k), values=rec.values[:k])
             prefix = nt.solve_unnormalized(model, A, grid, k * grid.epsilon, sub)
             assert np.array_equal(prefix.states, traj.states[: k + 1])
-            expected = nt.retarded_expectation(prefix, A, grid)
+            expected = prefix.retarded[-1]
             assert traj.retarded[k - 1] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
