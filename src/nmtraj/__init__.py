@@ -15,6 +15,7 @@ from .errors import (
     NmtrajError,
     NotPositiveDefinite,
     PathBudgetExceeded,
+    SampleBudgetExceeded,
     SingularWindow,
 )
 from .kernels import (
@@ -53,7 +54,6 @@ from .chain import (
     conditional_state_pointer,
     delayed_state,
     pointer_width_for,
-    reduced_state,
     reduced_states,
     vn_measure,
 )

@@ -20,8 +20,8 @@ the step's right endpoint; windows are left-endpoint, {k : t_k < t}.
 
 Path enumeration prunes branches whose amplitude is exactly zero (this is
 what keeps commuting models O(d) wide at any depth) and refuses, rather than
-truncates, when the surviving branch count would exceed the path budget or
-the pair sums would evaluate more than PAIR_BUDGET pair exponents.
+truncates, when the surviving branch count would exceed PATH_BUDGET or the
+pair sums would evaluate more than PAIR_BUDGET pair exponents.
 
 All values are immutable after construction; enumeration and pairwise
 accumulation are pure, so callers may partition the history index space
@@ -45,7 +45,8 @@ from .quantum import (
     free_step,
 )
 
-DEFAULT_PATH_BUDGET = 2 ** 20
+#: Most surviving histories one walk may hold.
+PATH_BUDGET = 2 ** 20
 
 #: Most pair exponents one call may evaluate, summed over its pair sums.
 PAIR_BUDGET = 2 ** 30
@@ -85,23 +86,21 @@ class ConditionalState:
 
 @dataclass(frozen=True)
 class SingleDetector:
-    """One Gaussian pointer: center and width of the initial density."""
+    """One Gaussian pointer, centered at zero: width of the initial density."""
 
     sigma: float
-    center: float = 0.0
 
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
 
 
-def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, path_budget: int,
-                eig: CouplingEigensystem):
+def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, eig: CouplingEigensystem):
     """Walk the history tree one step at a time, yielding the surviving
     (amplitudes, histories) after 0, 1, ..., steps steps.
 
     Raises PathBudgetExceeded before a branching step whose branch count
-    would pass ``path_budget``; exact zero-amplitude branches are dropped.
+    would pass PATH_BUDGET; exact zero-amplitude branches are dropped.
     """
     U = free_step(model, grid.epsilon)
     m = eig.count
@@ -109,10 +108,10 @@ def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, path_budget: int,
     hist = np.zeros((1, 0), dtype=np.int8)
     yield amps, hist
     for _ in range(steps):
-        if amps.shape[0] * m > path_budget:
+        if amps.shape[0] * m > PATH_BUDGET:
             raise PathBudgetExceeded(
-                f"{amps.shape[0]} surviving paths x {m} levels exceeds budget {path_budget}; "
-                "reduce the step count or Hilbert dimension, or raise the budget")
+                f"{amps.shape[0]} surviving paths x {m} levels exceeds the path budget "
+                f"{PATH_BUDGET}; reduce the step count or Hilbert dimension")
         evolved = amps @ U.T
         branches = np.stack([evolved @ eig.projectors[a].T for a in range(m)], axis=1)
         new_amps = branches.reshape(-1, model.dim)
@@ -125,12 +124,11 @@ def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, path_budget: int,
         yield amps, hist
 
 
-def build_paths(model: ModelSpec, grid: TimeGrid, window: range,
-                path_budget: int = DEFAULT_PATH_BUDGET) -> PathEnsemble:
+def build_paths(model: ModelSpec, grid: TimeGrid, window: range) -> PathEnsemble:
     """Enumerate the eigenvalue histories over ``window`` with their vector
     amplitudes, by walking the history tree to the window's end."""
     eig = eigendecompose_coupling(model)
-    for amps, hist in _walk_paths(model, grid, len(window), path_budget, eig):
+    for amps, hist in _walk_paths(model, grid, len(window), eig):
         pass
     return PathEnsemble(histories=hist, amplitudes=amps,
                         eigenvalues=eig.eigenvalues,
@@ -158,15 +156,18 @@ def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, left: np.ndarray,
     Every chain state's pair-weight matrix is positive semidefinite (a rank-one
     factor times exp(Xa S Xb) with S = A or a Schur complement of A), so its
     largest entry lies on the diagonal and the shift bounds every exponent.
+    Exponents past the float range leave num non-finite or zero, which the
+    callers' finite checks turn into DegenerateState.
     """
     p, d = amps.shape
     _check_pairs(p * p)
-    shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", left, right))) if p else 0.0
     num = np.zeros((d, d), dtype=complex)
-    for lo in range(0, p, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, p)
-        W = np.exp(path_log[lo:hi, None] + path_log[None, :] + left[lo:hi] @ right.T - shift)
-        num += amps[lo:hi].T @ (W @ amps.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", left, right))) if p else 0.0
+        for lo in range(0, p, _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, p)
+            W = np.exp(path_log[lo:hi, None] + path_log[None, :] + left[lo:hi] @ right.T - shift)
+            num += amps[lo:hi].T @ (W @ amps.conj())
     return num, float(np.trace(num).real), shift
 
 
@@ -186,7 +187,7 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
     path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA)
     left, right = XA, Xs
     if density.dim:
-        u = density.precision_apply(values - density.mean)
+        u = density.precision_apply(values)
         Z = density.precision_apply(centers.T).T
         path_log = path_log + centers @ u - 0.5 * np.einsum("pk,pk->p", centers, Z)
         # Cross term Xa.A.Xb - (Ca.Zb + Za.Cb) / 2 as one inner product.
@@ -200,41 +201,31 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
     return ConditionalState(rho=DensityOperator.from_matrix(num), log_weight=log_weight)
 
 
-def _reduced(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray) -> DensityOperator:
-    """Double path sum with pairwise decoherence weights
-    exp(-(Xa - Xb).A(Xa - Xb)/2), split into per-path and cross terms."""
-    XA = Xs @ A_w
-    num, _, _ = _pair_accumulate(amps, -0.5 * np.einsum("pk,pk->p", Xs, XA), XA, Xs)
-    return DensityOperator.from_matrix(num)
-
-
-def reduced_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                  path_budget: int = DEFAULT_PATH_BUDGET) -> DensityOperator:
-    """Open-system state at time t: the pointer-averaged chain.
+def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
+                   t: float) -> list[DensityOperator]:
+    """Open-system states at every grid time in (0, t]: entry k - 1 is the
+    pointer-averaged chain at time k * epsilon.
 
     Every pointer is integrated out, which cancels the Gaussian prior and
-    leaves the double path sum with pairwise decoherence weights only.
+    leaves the double path sum with pairwise decoherence weights
+    exp(-(Xa - Xb).A(Xa - Xb)/2), split into per-path and cross terms; one
+    walk over the history tree serves every time.
     """
-    window = grid.window_before(t)
-    paths = build_paths(model, grid, window, path_budget)
-    return _reduced(paths.amplitudes, paths.eigenvalue_sequences, A.submatrix(window))
-
-
-def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                   path_budget: int = DEFAULT_PATH_BUDGET) -> list[DensityOperator]:
-    """Open-system states at every grid time in (0, t], from one walk over
-    the history tree: entry k - 1 equals reduced_state at time k * epsilon."""
     eig = eigendecompose_coupling(model)
     # The whole walk runs first, so both budgets are checked before any pair sum.
-    prefixes = list(_walk_paths(model, grid, len(grid.window_before(t)), path_budget, eig))
-    _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes[1:]))
-    return [_reduced(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(hist.shape[1])))
-            for amps, hist in prefixes[1:]]
+    prefixes = list(_walk_paths(model, grid, len(grid.window_before(t)), eig))[1:]
+    _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes))
+    states = []
+    for amps, hist in prefixes:
+        Xs = eig.eigenvalues[hist.astype(int)]
+        XA = Xs @ A.submatrix(range(hist.shape[1]))
+        num, _, _ = _pair_accumulate(amps, -0.5 * np.einsum("pk,pk->p", Xs, XA), XA, Xs)
+        states.append(DensityOperator.from_matrix(num))
+    return states
 
 
 def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                              record: NoiseRecord,
-                              path_budget: int = DEFAULT_PATH_BUDGET) -> ConditionalState:
+                              record: NoiseRecord) -> ConditionalState:
     """State conditioned on raw pointer values read over [0, t).
 
     The detectors in A.window beyond the readout window stay unread but
@@ -246,7 +237,7 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     window = grid.window_before(t)
     if record.kind != "pointer" or record.window != window:
         raise ValueError("expected a pointer record on the window [0, t)")
-    paths = build_paths(model, grid, window, path_budget)
+    paths = build_paths(model, grid, window)
     A_w = A.submatrix(window)
     density = pointer_prior(A, window)
     centers = 0.5 * paths.eigenvalue_sequences
@@ -254,8 +245,7 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
 
 
 def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                  delay: float, record: NoiseRecord,
-                  path_budget: int = DEFAULT_PATH_BUDGET) -> ConditionalState:
+                  delay: float, record: NoiseRecord) -> ConditionalState:
     """State at time t when each readout is collected ``delay`` after its
     own step, so only the record on [0, t - delay) has been read; the
     chain's one state conditioned on the kernel-smeared readout record.
@@ -275,10 +265,9 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     read = grid.window_before(t - delay)
     if record.kind != "readout" or record.window != read:
         raise ValueError("expected a readout record on the window [0, t - delay)")
-    paths = build_paths(model, grid, window, path_budget)
+    paths = build_paths(model, grid, window)
     A_w = A.submatrix(window)
-    density = GaussianDensity(window=read, mean=np.zeros(len(read)),
-                              covariance=A.submatrix(read))
+    density = GaussianDensity(window=read, covariance=A.submatrix(read))
     centers = paths.eigenvalue_sequences @ A.block(read, window).T
     return _conditional(paths, A_w, density, centers, record.values)
 
@@ -294,15 +283,14 @@ def vn_measure(detector: SingleDetector, model: ModelSpec, tau: float,
     eig = eigendecompose_coupling(model)
     U = free_step(model, tau)
     projectors = np.stack([U.conj().T @ P @ U for P in eig.projectors])
-    x = readout - detector.center
     var = detector.sigma ** 2
     # Pointer wave-function overlaps: exp(-((x-Xa)^2 + (x-Xb)^2) / (4 var)).
-    expo = -((x - eig.eigenvalues) ** 2) / (4.0 * var)
+    expo = -((readout - eig.eigenvalues) ** 2) / (4.0 * var)
     expo = expo - np.max(expo)
     amp = np.exp(expo)
     num = np.einsum("a,b,aij,jk,bkl->il", amp, amp, projectors, rho0.matrix, projectors)
     probs = np.array([np.trace(P @ rho0.matrix).real for P in projectors])
-    density = float(np.sum(probs * np.exp(-((x - eig.eigenvalues) ** 2) / (2.0 * var)))
+    density = float(np.sum(probs * np.exp(-((readout - eig.eigenvalues) ** 2) / (2.0 * var)))
                     / np.sqrt(2.0 * np.pi * var))
     return DensityOperator.from_matrix(num), density
 

@@ -39,6 +39,9 @@ from .trajectories import ensemble_average, solve_unnormalized
 
 _SCHEDULES = ("zero-delay", "delayed", "x-readout")
 
+#: Header line of the record file `trajectory` writes; record readers skip it.
+RECORD_HEADER = "z (integrated readout)"
+
 DEFAULT_CONFIG = {
     "model": {
         "dim": 2,
@@ -190,6 +193,11 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     _expect(type(n_steps) is int and n_steps >= 1, "grid.n_steps",
             "expected an integer >= 1")
     grid = TimeGrid(epsilon=eps, n_steps=n_steps)
+    # The largest kernel-matrix entry, as products (** would raise OverflowError).
+    largest = eps * (kernel.g * kernel.g) if kernel.kind == "markov" else eps * eps * (
+        0.5 * kernel.rate if kernel.kind == "exponential" else max(map(abs, kernel.values)))
+    _expect(math.isfinite(largest), "kernel", "expected kernel-matrix entries (epsilon^2 alpha, "
+            "or epsilon g^2 for markov) within the floating-point range")
 
     sblock = raw.get("schedule")
     _expect(isinstance(sblock, dict), "schedule", "expected an object")
@@ -323,7 +331,7 @@ def _load_record_values(path: str, expected: int) -> np.ndarray:
         raise ConfigError(f"{path}: cannot read record ({exc.strerror})") from None
     values = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        if line.strip():
+        if line.strip() and not (lineno == 1 and line.strip() == RECORD_HEADER):
             try:
                 values.append(float(line))
             except ValueError as exc:
@@ -350,7 +358,7 @@ def cmd_trajectory(config: RunConfig, z_file: str | None = None) -> list[Path]:
     traj = solve_unnormalized(model, A, grid, config.final_time, record)
     X = model.coupling
     header = [
-        "step (index)", "t (time)", "z (integrated readout)",
+        "step (index)", "t (time)", RECORD_HEADER,
         "norm (state norm; dimensionless)",
     ]
     header += [f"psi_{part}_{i} (dimensionless)"
@@ -369,7 +377,7 @@ def cmd_trajectory(config: RunConfig, z_file: str | None = None) -> list[Path]:
     out = config.out_dir / "trajectory.csv"
     _write_csv(out, header, rows)
     record_out = config.out_dir / "trajectory_record.csv"
-    _write_csv(record_out, ["z (integrated readout)"],
+    _write_csv(record_out, [RECORD_HEADER],
                [[float(v)] for v in record.values])
     return [out, record_out]
 
@@ -451,7 +459,7 @@ def cmd_verify(config: RunConfig | None, out_dir: Path, seed: int) -> tuple[list
     kernel) first.  Returns written paths and overall pass/fail."""
     if config is not None:
         build_kernel_matrix(config.kernel, config.grid)
-    report = verify_mod.run_report(seed=seed, check_determinism=True)
+    report = verify_mod.run_report(seed=seed)
     out = out_dir / "verify_report.json"
     out.write_text(verify_mod.canonical_json(report) + "\n")
     for crit in report["criteria"]:
@@ -465,15 +473,27 @@ def cmd_verify(config: RunConfig | None, out_dir: Path, seed: int) -> tuple[list
     return [out], bool(report["passed"])
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=str, default=None, help="path to a JSON run config")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--samples", type=int, default=None, help="sample count override")
-    parser.add_argument("--out", type=str, default=None, help="output directory override")
-    parser.add_argument("--schedule", type=str, default=None, choices=_SCHEDULES,
-                        help="readout schedule override")
-    parser.add_argument("--delay", type=float, default=None,
-                        help="readout delay override (time units)")
+#: Every option any subcommand takes; argparse defaults each to None.
+_OPTIONS = {
+    "--config": {"help": "path to a JSON run config"},
+    "--out": {"help": "output directory override"},
+    "--seed": {"type": int, "help": "master seed override"},
+    "--samples": {"type": int, "help": "sample count override"},
+    "--schedule": {"choices": _SCHEDULES, "help": "readout schedule override"},
+    "--delay": {"type": float, "help": "readout delay override (time units)"},
+    "--z-file": {"help": "readout record, one value per line (default: sampled)"},
+    "--record-file": {"help": "record to condition on, one value per line (default: sampled)"},
+}
+
+#: Each subcommand's help and the options its output reads besides --config and --out.
+_SUBCOMMANDS = {
+    "evolve": ("pointer-averaged state at every grid time", ()),
+    "trajectory": ("per-step table for one noise realization", ("--seed", "--z-file")),
+    "ensemble": ("importance-sampled unraveling report", ("--seed", "--samples")),
+    "detector": ("conditional state for one readout record",
+                 ("--seed", "--schedule", "--delay", "--record-file")),
+    "verify": ("run the built-in verification suite", ("--seed",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,20 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nmtraj",
         description="Finite-step simulator for continuous quantum measurement with memory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("evolve", "pointer-averaged state at every grid time"),
-        ("trajectory", "per-step table for one noise realization"),
-        ("ensemble", "importance-sampled unraveling report"),
-        ("detector", "conditional state for one readout record"),
-        ("verify", "run the built-in verification suite"),
-    ):
+    for name, (helptext, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "trajectory":
-            p.add_argument("--z-file", type=str, default=None,
-                           help="readout record, one value per line (default: sampled)")
-        if name == "detector":
-            p.add_argument("--record-file", type=str, default=None)
+        for option in ("--config", "--out", *options):
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -15,14 +15,20 @@ class SingularWindow(NmtrajError):
 
 
 class PathBudgetExceeded(NmtrajError):
-    """The projector path enumeration would exceed the configured budget.
+    """The projector path enumeration would exceed PATH_BUDGET histories, or
+    the pair sums PAIR_BUDGET pair exponents.
 
-    Reduce the number of steps, the Hilbert dimension, or raise the budget.
+    Reduce the number of steps or the Hilbert dimension.
     """
 
 
 class KernelBudgetExceeded(NmtrajError):
     """A kernel matrix would hold more entries than KERNEL_ENTRY_BUDGET."""
+
+
+class SampleBudgetExceeded(NmtrajError):
+    """An ensemble's per-sample arrays would hold more floats than
+    SAMPLE_BUDGET."""
 
 
 class DegenerateWeights(NmtrajError):

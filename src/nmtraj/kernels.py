@@ -86,7 +86,8 @@ class ExponentialKernel:
             raise ValueError("rate must be positive")
 
     def alpha(self, lag):
-        return 0.5 * self.rate * np.exp(-self.rate * np.abs(lag))
+        with np.errstate(over="ignore"):  # rate * lag past the float range: exp(-inf) = 0
+            return 0.5 * self.rate * np.exp(-self.rate * np.abs(lag))
 
 
 @dataclass(frozen=True)
@@ -159,18 +160,15 @@ class KernelMatrix:
         return self.entries[np.ix_(self._relative(rows), self._relative(cols))]
 
 
-def build_kernel_matrix(kernel, grid: TimeGrid, window: range | None = None) -> KernelMatrix:
-    """Discretize a memory kernel over a grid window.
+def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
+    """Discretize a memory kernel over the whole grid.
 
-    Raises KernelBudgetExceeded, before any allocation, if the window needs
+    Raises KernelBudgetExceeded, before any allocation, if the grid needs
     more than KERNEL_ENTRY_BUDGET entries, and NotPositiveDefinite if the
     smallest eigenvalue falls below -PSD_RTOL times the spectral norm (the
     signature of an invalid tabulated kernel).
     """
-    if window is None:
-        window = grid.full_window
-    if window.start < 0 or window.stop > grid.n_steps or window.step != 1:
-        raise ValueError(f"window {window} not contained in the grid")
+    window = grid.full_window
     n = len(window)
     if n * n > KERNEL_ENTRY_BUDGET:
         raise KernelBudgetExceeded(
@@ -184,8 +182,6 @@ def build_kernel_matrix(kernel, grid: TimeGrid, window: range | None = None) -> 
         # |i - j| keeps the matrix exactly symmetric and Toeplitz.
         lag = eps * np.abs(idx[:, None] - idx[None, :])
         entries = eps ** 2 * kernel.alpha(lag)
-    if n == 0:
-        return KernelMatrix(window=window, entries=entries.reshape(0, 0))
     eigs = np.linalg.eigvalsh(entries)
     norm = float(np.max(np.abs(eigs)))
     min_eig = float(eigs[0])

@@ -44,23 +44,21 @@ class GaussianDensity:
     singular positive-semidefinite covariance is factored with a diagonal
     jitter of PSD_RTOL times its spectral norm, so it can still be sampled,
     but its density and precision do not exist and raise SingularWindow.
-    The mode (the mean) maximizes the log-density; marginals keep the
-    covariance submatrix.
+    Every density here has mean zero; marginals keep the covariance
+    submatrix.
     """
 
     window: range
-    mean: np.ndarray
     covariance: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
     _log_norm: float = field(init=False, repr=False)
     _singular: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
         n = len(self.window)
-        if self.mean.shape != (n,) or self.covariance.shape != (n, n):
-            raise ValueError("mean/covariance shapes do not match the window")
+        if self.covariance.shape != (n, n):
+            raise ValueError("covariance shape does not match the window")
         self._singular = False
         self._log_norm = 0.0
         if n == 0:
@@ -96,7 +94,7 @@ class GaussianDensity:
         self._require_definite()
         if self.dim == 0:
             return 0.0
-        u = np.linalg.solve(self._chol, np.asarray(values, dtype=float) - self.mean)
+        u = np.linalg.solve(self._chol, np.asarray(values, dtype=float))
         return float(-0.5 * np.dot(u, u) + self._log_norm)
 
     def precision_apply(self, vectors: np.ndarray) -> np.ndarray:
@@ -108,16 +106,15 @@ class GaussianDensity:
         return np.linalg.solve(self._chol.T, y)
 
     def marginal(self, window: range) -> "GaussianDensity":
-        """Marginal onto a sub-window: mean and covariance submatrices."""
+        """Marginal onto a sub-window: the covariance submatrix."""
         if window.start < self.window.start or window.stop > self.window.stop:
             raise ValueError(f"window {window} not contained in {self.window}")
         rel = np.arange(window.start - self.window.start, window.stop - self.window.start)
-        return GaussianDensity(window=window, mean=self.mean[rel],
-                               covariance=self.covariance[np.ix_(rel, rel)])
+        return GaussianDensity(window=window, covariance=self.covariance[np.ix_(rel, rel)])
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         xi = rng.standard_normal((count, self.dim))
-        return self.mean[None, :] + xi @ self._chol.T
+        return xi @ self._chol.T
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ class NoiseRecord:
 
 def readout_prior(A: KernelMatrix) -> GaussianDensity:
     """Zero-mean Gaussian over readout records with covariance A."""
-    return GaussianDensity(window=A.window, mean=np.zeros(A.size), covariance=A.entries)
+    return GaussianDensity(window=A.window, covariance=A.entries)
 
 
 def pointer_prior(A: KernelMatrix, window: range) -> GaussianDensity:
@@ -173,8 +170,7 @@ def pointer_prior(A: KernelMatrix, window: range) -> GaussianDensity:
         raise SingularWindow(f"inverse residual {resid:.3e} exceeds {INVERSE_RTOL:.0e}")
     # Symmetrized A^{-1}, times 1/4, restricted to the read window.
     quarter_inverse = KernelMatrix(A.window, 0.125 * (inv + inv.T))
-    return GaussianDensity(window=window, mean=np.zeros(len(window)),
-                           covariance=quarter_inverse.submatrix(window))
+    return GaussianDensity(window=window, covariance=quarter_inverse.submatrix(window))
 
 
 def sample_readout_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRecord]:

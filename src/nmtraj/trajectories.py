@@ -31,17 +31,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateState, DegenerateWeights
+from .errors import DegenerateState, DegenerateWeights, SampleBudgetExceeded
 from .kernels import KernelMatrix, TimeGrid
 from .noise import NoiseRecord, readout_prior, _generator
 from .quantum import DensityOperator, ModelSpec, eigendecompose_coupling, free_step
-from .chain import DEFAULT_PATH_BUDGET, _walk_paths, build_paths
+from .chain import _walk_paths, build_paths
 
 _STREAM_ENSEMBLE = 0x45
 _ENSEMBLE_CHUNK = 8192
 _MIN_EFFECTIVE_SAMPLES = 10.0
 #: Most path weights (records x paths) one evaluator block holds.
 _WEIGHT_BLOCK = 2 ** 20
+#: Most floats an ensemble keeps per sample, summed over its samples: its
+#: weight, the two readout-mean sides and the d x d projector (1 GiB).
+SAMPLE_BUDGET = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,7 @@ def _evaluate(Z: np.ndarray, Xs: np.ndarray, amps: np.ndarray,
 
 
 def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                       record: NoiseRecord,
-                       path_budget: int = DEFAULT_PATH_BUDGET) -> Trajectory:
+                       record: NoiseRecord) -> Trajectory:
     """Solve one noise realization over [0, t) by the exact path sum, in one
     walk over the grid that yields every prefix state and its retarded value.
 
@@ -163,7 +165,7 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
     states = np.empty((n + 1, model.dim), dtype=complex)
     conds = []  # per prefix, conditional expectations times the squared norm
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the norms below
-        for k, (amps, hist) in enumerate(_walk_paths(model, grid, n, path_budget, eig)):
+        for k, (amps, hist) in enumerate(_walk_paths(model, grid, n, eig)):
             psi, coupling = _evaluate(z[None, :k], eig.eigenvalues[hist.astype(int)], amps,
                                       A_w[:k, :k])
             states[k] = psi[0]
@@ -187,21 +189,19 @@ def readout_pdf(trajectory: Trajectory, A: KernelMatrix) -> float:
 
 
 def readout_derivatives(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                        record: NoiseRecord,
-                        path_budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
+                        record: NoiseRecord) -> np.ndarray:
     """Exact derivative of the final unnormalized state with respect to each
     readout component: differentiating the path weight inserts that step's
     eigenvalue into every path."""
     window = grid.window_before(t)
-    paths = build_paths(model, grid, window, path_budget)
+    paths = build_paths(model, grid, window)
     Xs = paths.eigenvalue_sequences
     w = _path_weights(record.values[None, :], Xs, A.submatrix(window))[0]
     return (Xs * w[:, None]).T @ paths.amplitudes
 
 
 def residual_check(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
-                   record: NoiseRecord, t_index: int,
-                   path_budget: int = DEFAULT_PATH_BUDGET) -> float:
+                   record: NoiseRecord, t_index: int) -> float:
     """Finite-step residual of the stochastic equation of motion at one step.
 
     Works in the interaction frame (states transported back by the free
@@ -220,11 +220,11 @@ def residual_check(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
         raise ValueError("t_index must lie in [1, steps)")
     eps = grid.epsilon
     k = t_index
-    traj = solve_unnormalized(model, A, grid, n * eps, record, path_budget)
+    traj = solve_unnormalized(model, A, grid, n * eps, record)
 
     sub = range(window.start, window.start + k)
     sub_record = NoiseRecord(window=sub, values=record.values[:k])
-    derivs = readout_derivatives(model, A, grid, k * eps, sub_record, path_budget)
+    derivs = readout_derivatives(model, A, grid, k * eps, sub_record)
 
     back_k = free_step(model, -(k * eps))
     back_k1 = free_step(model, -((k + 1) * eps))
@@ -244,8 +244,7 @@ def residual_check(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
 
 
 def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
-                     n_samples: int, seed: int,
-                     path_budget: int = DEFAULT_PATH_BUDGET) -> EnsembleEstimate:
+                     n_samples: int, seed: int) -> EnsembleEstimate:
     """Unravel the open-system state by importance sampling.
 
     Records are drawn from the window prior and each pure state enters with
@@ -254,19 +253,25 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     estimator's trace is 1 by construction.  The same weighted samples give
     the readout-mean law at the final step: the mean readout against the
     kernel-weighted mean of conditional coupling expectations.  Raises
-    DegenerateWeights when the weight sums leave the float range or the
-    effective sample size drops below 10.
+    SampleBudgetExceeded, before any allocation, when the per-sample arrays
+    would pass SAMPLE_BUDGET floats, and DegenerateWeights when the weight
+    sums leave the float range or the effective sample size drops below 10.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
+    d = model.dim
+    stored = n_samples * (3 + 2 * d * d)
+    if stored > SAMPLE_BUDGET:
+        raise SampleBudgetExceeded(
+            f"{n_samples} samples of a dimension-{d} model keep {stored} floats, "
+            f"over the sample budget {SAMPLE_BUDGET}; reduce the sample count")
     window = grid.window_before(t)
     A_w = A.submatrix(window)
     prior = readout_prior(KernelMatrix(window, A_w))
-    paths = build_paths(model, grid, window, path_budget)
+    paths = build_paths(model, grid, window)
     last_row = 2.0 * A_w[-1, :]
 
     rng = _generator(seed, _STREAM_ENSEMBLE)
-    d = model.dim
     weights = np.empty(n_samples)
     # The readout-mean law's two sides per sample, both times the weight:
     # w z_{n-1} and c . 2 A_w[n-1, :].

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 import nmtraj as nt
-from nmtraj import DensityOperator, NoiseRecord
+from nmtraj import DensityOperator, NoiseRecord, chain
 from nmtraj.errors import DegenerateState, PathBudgetExceeded
 
 
@@ -61,28 +61,30 @@ def test_build_paths_commuting_support():
     assert np.all(paths.eigenvalue_sequences == paths.eigenvalue_sequences[:, :1])
 
 
-def test_build_paths_budget(default_model):
+def test_build_paths_budget(default_model, monkeypatch):
+    monkeypatch.setattr(chain, "PATH_BUDGET", 100)
     grid = nt.TimeGrid(epsilon=0.1, n_steps=8)
     with pytest.raises(PathBudgetExceeded):
-        nt.build_paths(default_model, grid, grid.full_window, path_budget=100)
+        nt.build_paths(default_model, grid, grid.full_window)
 
 
-def _budget_calls(model, grid, budget):
+def _budget_calls(model, grid):
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     rec = NoiseRecord(window=grid.full_window, values=np.zeros(grid.n_steps))
     t = grid.n_steps * grid.epsilon
     return {
-        "build_paths": lambda: nt.build_paths(model, grid, grid.full_window, budget),
-        "reduced_states": lambda: nt.reduced_states(model, A, grid, t, budget),
-        "solve_unnormalized": lambda: nt.solve_unnormalized(model, A, grid, t, rec, budget),
+        "build_paths": lambda: nt.build_paths(model, grid, grid.full_window),
+        "reduced_states": lambda: nt.reduced_states(model, A, grid, t),
+        "solve_unnormalized": lambda: nt.solve_unnormalized(model, A, grid, t, rec),
     }
 
 
 @pytest.mark.parametrize("call", ["build_paths", "reduced_states", "solve_unnormalized"])
-def test_walk_budget_raises_before_branching(default_model, call):
+def test_walk_budget_raises_before_branching(default_model, call, monkeypatch):
     # A 40-step noncommuting request (2^40 histories) stops at the branching
     # step that would pass the budget, having held at most 2048 paths.
-    run = _budget_calls(default_model, nt.TimeGrid(epsilon=0.1, n_steps=40), 4000)[call]
+    monkeypatch.setattr(chain, "PATH_BUDGET", 4000)
+    run = _budget_calls(default_model, nt.TimeGrid(epsilon=0.1, n_steps=40))[call]
     tracemalloc.start()
     try:
         with pytest.raises(PathBudgetExceeded, match="^2048 surviving paths x 2 levels"):
@@ -113,7 +115,7 @@ def test_pair_sum_holds_no_full_pair_array(default_model):
 
 
 def test_reduced_state_zero_coupling(zero_coupling_model, A8, grid8):
-    rho = nt.reduced_state(zero_coupling_model, A8, grid8, 0.8)
+    rho = nt.reduced_states(zero_coupling_model, A8, grid8, 0.8)[-1]
     U = np.linalg.matrix_power(nt.free_step(zero_coupling_model, 0.1), 8)
     expected = DensityOperator.from_state(U @ zero_coupling_model.initial_state)
     assert nt.trace_distance(rho, expected) <= 1e-12
@@ -121,7 +123,7 @@ def test_reduced_state_zero_coupling(zero_coupling_model, A8, grid8):
 
 def test_reduced_state_dephasing_closed_form(A8, grid8):
     model = _h0_dephasing()
-    rho = nt.reduced_state(model, A8, grid8, 0.8)
+    rho = nt.reduced_states(model, A8, grid8, 0.8)[-1]
     expected = 0.5 * np.exp(-2.0 * np.sum(A8.entries))
     assert rho.matrix[0, 1].real == pytest.approx(expected, abs=1e-12)
     assert rho.matrix[0, 0].real == pytest.approx(0.5, abs=1e-12)
@@ -134,13 +136,13 @@ def test_reduced_state_markov_dephasing_matches_lindblad():
     for eps, n in ((0.1, 8), (0.05, 16)):
         grid = nt.TimeGrid(epsilon=eps, n_steps=n)
         A = nt.build_kernel_matrix(nt.MarkovDeltaKernel(g=g), grid)
-        rho = nt.reduced_state(model, A, grid, eps * n)
+        rho = nt.reduced_states(model, A, grid, eps * n)[-1]
         expected = 0.5 * np.exp(-2.0 * g ** 2 * eps * n)
         assert rho.matrix[0, 1].real == pytest.approx(expected, abs=1e-12)
 
 
 def test_reduced_state_is_valid_density(default_model, A8, grid8):
-    rho = nt.reduced_state(default_model, A8, grid8, 0.8)
+    rho = nt.reduced_states(default_model, A8, grid8, 0.8)[-1]
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
@@ -153,7 +155,7 @@ def test_reduced_state_strong_coupling_matches_unshifted_pair_sum(A8, grid8, str
     # separate maxima used to underflow every weight.
     model = nt.ModelSpec(dim=2, hamiltonian=nt.sigma_x(), coupling=strength * nt.sigma_z(),
                          initial_state=np.array([1.0, 0.0], dtype=complex))
-    rho = nt.reduced_state(model, A8, grid8, 0.8)
+    rho = nt.reduced_states(model, A8, grid8, 0.8)[-1]
     paths = nt.build_paths(model, grid8, grid8.full_window)
     delta = paths.eigenvalue_sequences[:, None, :] - paths.eigenvalue_sequences[None, :, :]
     W = np.exp(-0.5 * np.einsum("abk,kl,abl->ab", delta, A8.entries, delta))
@@ -191,7 +193,8 @@ def test_reduced_states_equal_per_time_reduced_state(case, default_model, A8, gr
     states = nt.reduced_states(model, A, grid, t)
     assert len(states) == grid.n_steps
     for k, rho in enumerate(states, 1):
-        expected = nt.reduced_state(model, A, grid, k * grid.epsilon)
+        # A walk that stops at step k ends in the same state, bit for bit.
+        expected = nt.reduced_states(model, A, grid, k * grid.epsilon)[-1]
         assert np.array_equal(rho.matrix, expected.matrix)
 
 
@@ -199,7 +202,7 @@ def test_reduced_states_stop_at_t(default_model, A8, grid8):
     states = nt.reduced_states(default_model, A8, grid8, 0.3)
     assert len(states) == 3
     assert np.array_equal(states[-1].matrix,
-                          nt.reduced_state(default_model, A8, grid8, 0.3).matrix)
+                          nt.reduced_states(default_model, A8, grid8, 0.8)[2].matrix)
     assert nt.reduced_states(default_model, A8, grid8, 0.0) == []
 
 
@@ -329,7 +332,7 @@ def test_readout_unraveling_by_quadrature(default_model, steps):
         acc += wt * like * state.rho.matrix
         total += wt * like
     averaged = DensityOperator.from_matrix(acc / total)
-    exact = nt.reduced_state(default_model, A, grid, t)
+    exact = nt.reduced_states(default_model, A, grid, t)[-1]
     assert nt.trace_distance(averaged, exact) <= 1e-10
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -351,7 +354,7 @@ def test_pointer_unraveling_by_quadrature(default_model, steps):
         acc += wt * like * state.rho.matrix
         total += wt * like
     averaged = DensityOperator.from_matrix(acc / total)
-    exact = nt.reduced_state(default_model, A, grid, t)
+    exact = nt.reduced_states(default_model, A, grid, t)[-1]
     assert nt.trace_distance(averaged, exact) <= 1e-10
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -362,7 +365,7 @@ def test_pointer_unraveling_by_quadrature(default_model, steps):
 def test_delayed_state_full_delay_reduces_to_reduced(default_model, A8, grid8):
     rec = NoiseRecord(window=range(0, 0), values=np.zeros(0))
     delayed = nt.delayed_state(default_model, A8, grid8, 0.8, 0.8, rec)
-    exact = nt.reduced_state(default_model, A8, grid8, 0.8)
+    exact = nt.reduced_states(default_model, A8, grid8, 0.8)[-1]
     assert nt.trace_distance(delayed.rho, exact) <= 1e-12
     assert delayed.log_weight == pytest.approx(0.0, abs=1e-10)
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,9 +421,14 @@ _NAN_HAMILTONIAN = {**_ZERO_COUPLING_MODEL,
     ({"grid": {"epsilon": 0.1, "n_steps": True}}, [], "grid.n_steps"),
     ({"sampling": {"n_samples": True, "seed": 1}}, [], "sampling.n_samples"),
     ({"sampling": {"n_samples": 100, "seed": True}}, [], "sampling.seed"),
+    ({"grid": {"epsilon": 1e200, "n_steps": 8}}, [], "kernel"),
+    ({"kernel": {"kind": "markov", "g": 1e200}}, [], "kernel"),
+    ({"kernel": {"kind": "tabulated", "samples": [[0.0, 1e308]]}, "grid": {"epsilon": 10.0,
+      "n_steps": 2}}, [], "kernel"),
 ], ids=["string-lag", "null-lag", "infinite-lambda", "infinite-epsilon", "infinite-delay",
         "nan-hamiltonian", "boolean-lambda", "boolean-steps", "boolean-samples",
-        "boolean-seed"])
+        "boolean-seed", "overflowing-epsilon", "overflowing-markov-g",
+        "overflowing-tabulated"])
 def test_non_finite_config_numbers(tmp_path, capsys, blocks, extra, field):
     # json.loads accepts NaN and Infinity, and json.dumps writes them; true
     # and false are not numbers although Python's bool subclasses int.
@@ -430,6 +437,29 @@ def test_non_finite_config_numbers(tmp_path, capsys, blocks, extra, field):
     assert _run(["detector", "--config", cfg, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: expected ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["evolve"], 1),
+    (["trajectory"], 1),
+    (["ensemble", "--samples", "200"], 1),
+    (["detector"], 1),
+    (["detector", "--schedule", "x-readout"], 0),
+], ids=["evolve", "trajectory", "ensemble", "detector", "detector-x-readout"])
+def test_huge_kernel_rate_is_typed(tmp_path, capsys, argv, status):
+    # Entries near 1e297 pass validation, but the path sums' exponents leave
+    # the float range: a typed error or a valid state, and no RuntimeWarning
+    # (which this suite turns into an exception) on the way.
+    cfg = _write_config(tmp_path / "cfg.json", kernel={"kind": "exponential", "lambda": 1e300},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run([*argv, "--config", cfg]) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status:
+        assert err.startswith("error: ")
+    else:
+        report = json.loads((tmp_path / "out" / "detector.json").read_text())
+        assert 0.0 < report["purity"] <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("command", ["evolve", "trajectory", "ensemble", "detector", "verify"])
@@ -478,3 +508,67 @@ def test_manifest_written(tmp_path):
     assert manifest["command"] == "evolve"
     assert "evolve.csv" in manifest["outputs"]
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_ensemble_sample_budget_refuses_before_allocating(tmp_path, capsys):
+    # A trillion samples would keep 11e12 floats (the weight, two readout
+    # sides and a 2 x 2 complex projector each), about 80 TiB.
+    import time
+    start = time.monotonic()
+    assert _run(["ensemble", "--samples", "1000000000000", "--out", str(tmp_path / "out")]) == 1
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over the sample budget" in err
+    assert "Traceback" not in err
+
+
+def test_trajectory_record_round_trip(tmp_path):
+    # The record file trajectory writes, header included, is a valid
+    # --z-file and --record-file.
+    out = tmp_path / "out"
+    assert _run(["trajectory", "--seed", "11", "--out", str(out)]) == 0
+    record = out / "trajectory_record.csv"
+    assert record.read_text().startswith(cli.RECORD_HEADER + "\n")
+    assert _run(["detector", "--record-file", str(record), "--out", str(tmp_path / "det")]) == 0
+    report = json.loads((tmp_path / "det" / "detector.json").read_text())
+    assert report["purity"] == pytest.approx(1.0, abs=1e-10)
+    header, rows = _read_csv(out / "trajectory.csv")
+    psi = np.array([complex(float(rows[-1][header.index(f"psi_re_{i} (dimensionless)")]),
+                            float(rows[-1][header.index(f"psi_im_{i} (dimensionless)")]))
+                    for i in range(2)])
+    rho = np.array([[complex(*c) for c in row] for row in report["rho"]])
+    expected = nt.DensityOperator.from_state(psi)
+    assert nt.trace_distance(nt.DensityOperator(matrix=rho), expected) <= 1e-10
+
+    again = tmp_path / "again"
+    assert _run(["trajectory", "--z-file", str(record), "--out", str(again)]) == 0
+    assert (again / "trajectory.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+
+
+def _readme_flags():
+    """Each subcommand's flags as README's command-line block lists them."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    flags = {}
+    for line in block.strip().splitlines():
+        usage = line.split("#", 1)[0]
+        if usage.startswith("nmtraj "):  # else a continuation of the previous line
+            command = usage.split()[1]
+            flags[command] = set()
+        flags[command] |= set(re.findall(r"--[a-z][a-z-]*", usage))
+    return flags
+
+
+def test_readme_lists_each_subcommands_flags():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, cli.argparse._SubParsersAction))
+    parsed = {name: {o for o in p._option_string_actions if o.startswith("--")} - {"--help"}
+              for name, p in subparsers.choices.items()}
+    assert _readme_flags() == parsed
+
+
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["evolve", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

@@ -17,9 +17,9 @@ def _matrix(entries):
 
 def _log_shift_ratio(density, shift, values):
     # logpdf(v - shift) - logpdf(v) as the exact quadratic form
-    # (v - mean) . Sigma^{-1} shift - shift . Sigma^{-1} shift / 2.
+    # v . Sigma^{-1} shift - shift . Sigma^{-1} shift / 2.
     a = density.precision_apply(np.asarray(shift, dtype=float))
-    return float(np.dot(np.asarray(values, dtype=float) - density.mean, a)
+    return float(np.dot(np.asarray(values, dtype=float), a)
                  - 0.5 * np.dot(shift, a))
 
 
@@ -183,16 +183,14 @@ def test_record_validation():
 
 
 def test_empty_window_density():
-    density = GaussianDensity(window=range(0, 0), mean=np.zeros(0),
-                              covariance=np.zeros((0, 0)))
+    density = GaussianDensity(window=range(0, 0), covariance=np.zeros((0, 0)))
     assert density.logpdf(np.zeros(0)) == 0.0
     assert _log_shift_ratio(density, np.zeros(0), np.zeros(0)) == 0.0
 
 
 def test_density_rejects_nonpositive_covariance():
     with pytest.raises(nt.SingularWindow):
-        GaussianDensity(window=range(0, 2), mean=np.zeros(2),
-                        covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        GaussianDensity(window=range(0, 2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def _cholesky_sites(node, module, scope, sites):

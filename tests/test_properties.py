@@ -1,4 +1,5 @@
-"""Property tests of the trajectory route over random models and kernels.
+"""Property tests of the chain and trajectory routes over random models and
+kernels.
 
 Hermitian models of dimension 2-4 (couplings drawn with repeated
 eigenvalues, so degenerate levels merge) under exponential kernels and
@@ -95,4 +96,80 @@ def test_delay_over_the_whole_window_is_the_reduced_state(case):
     t = grid.n_steps * grid.epsilon
     delayed = nt.delayed_state(model, A, grid, t, t, NoiseRecord(window=range(0, 0),
                                                                values=np.zeros(0)))
-    assert nt.trace_distance(delayed.rho, nt.reduced_state(model, A, grid, t)) <= 1e-12
+    assert nt.trace_distance(delayed.rho, nt.reduced_states(model, A, grid, t)[-1]) <= 1e-12
+
+
+@st.composite
+def _readouts(draw):
+    """A case with a readout time k * eps, a delay of j <= k steps, a
+    readout record on the first k - j steps and a pointer record on the
+    first k."""
+    model, A, grid = draw(_cases())
+    k = draw(st.integers(1, grid.n_steps))
+    j = draw(st.integers(0, k))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    read = range(0, k - j)
+    z = nt.sample_readout_prior(nt.KernelMatrix(read, A.submatrix(read)), 1, seed=seed)[0].values
+    x = nt.sample_pointer_prior(A, 1, seed=seed)[0].values[:k]
+    return model, A, grid, k, j, z, x
+
+
+def _chain_states(model, A, grid, k, j, z, x):
+    """The reduced state at every grid time, then the delayed and the
+    pointer-conditioned state at time k * eps, with the two log weights."""
+    eps = grid.epsilon
+    delayed = nt.delayed_state(model, A, grid, k * eps, j * eps,
+                               NoiseRecord(window=range(0, k - j), values=z))
+    pointer = nt.conditional_state_pointer(model, A, grid, k * eps,
+                                           NoiseRecord(window=range(0, k), values=x,
+                                                       kind="pointer"))
+    rhos = [rho.matrix for rho in nt.reduced_states(model, A, grid, grid.n_steps * eps)]
+    return rhos + [delayed.rho.matrix, pointer.rho.matrix], [delayed.log_weight,
+                                                             pointer.log_weight]
+
+
+def _with(model, hamiltonian, coupling, initial_state):
+    return nt.ModelSpec(dim=model.dim, hamiltonian=hamiltonian, coupling=coupling,
+                        initial_state=initial_state)
+
+
+@_SETTINGS
+@given(draw=_readouts())
+def test_every_chain_state_is_a_density_matrix(draw):
+    for rho in _chain_states(*draw)[0]:
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+@_SETTINGS
+@given(draw=_readouts(), perm_seed=st.integers(0, 2 ** 32 - 1))
+def test_basis_relabelling_permutes_every_state(draw, perm_seed):
+    model, A, grid, k, j, z, x = draw
+    P = np.eye(model.dim)[np.random.default_rng(perm_seed).permutation(model.dim)]
+    relabelled = _with(model, P @ model.hamiltonian @ P.T, P @ model.coupling @ P.T,
+                       P @ model.initial_state)
+    rhos, logs = _chain_states(model, A, grid, k, j, z, x)
+    rhos_p, logs_p = _chain_states(relabelled, A, grid, k, j, z, x)
+    for rho, rho_p in zip(rhos, rhos_p):
+        assert np.max(np.abs(P @ rho @ P.T - rho_p)) <= 1e-12
+    assert np.max(np.abs(np.subtract(logs, logs_p))) <= 1e-12
+    t = k * grid.epsilon
+    rec = NoiseRecord(window=range(0, k), values=x)  # any record will do
+    psi = nt.solve_unnormalized(model, A, grid, t, rec).final_state
+    psi_p = nt.solve_unnormalized(relabelled, A, grid, t, rec).final_state
+    assert np.max(np.abs(P @ psi - psi_p)) <= 1e-12 * max(1.0, np.max(np.abs(psi)))
+
+
+@_SETTINGS
+@given(draw=_readouts())
+def test_eigenvalue_reversal_with_flipped_records_changes_nothing(draw):
+    # X -> -X with z -> -z (and x -> -x) keeps every path weight: z . X and
+    # X . A X are even, and each projector keeps its history.
+    model, A, grid, k, j, z, x = draw
+    reversed_ = _with(model, model.hamiltonian, -model.coupling, model.initial_state)
+    rhos, logs = _chain_states(model, A, grid, k, j, z, x)
+    rhos_r, logs_r = _chain_states(reversed_, A, grid, k, j, -z, -x)
+    for rho, rho_r in zip(rhos, rhos_r):
+        assert np.max(np.abs(rho - rho_r)) <= 1e-12
+    assert np.max(np.abs(np.subtract(logs, logs_r))) <= 1e-12

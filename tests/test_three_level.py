@@ -38,7 +38,7 @@ def test_qutrit_path_count_and_completeness(setup):
 
 def test_qutrit_reduced_state_valid(setup):
     model, grid, A = setup
-    rho = nt.reduced_state(model, A, grid, 0.6)
+    rho = nt.reduced_states(model, A, grid, 0.6)[-1]
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
@@ -68,7 +68,7 @@ def test_qutrit_pointer_state_mixed(qutrit):
 def test_qutrit_ensemble_matches_path_sum(setup):
     model, grid, A = setup
     est = nt.ensemble_average(model, A, grid, 0.6, n_samples=20000, seed=23)
-    exact = nt.reduced_state(model, A, grid, 0.6)
+    exact = nt.reduced_states(model, A, grid, 0.6)[-1]
     assert nt.trace_distance(est.rho, exact) <= 3.0 * est.pooled_rho_se
     assert est.mean_readout.sigma_units <= 3.0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nmtraj as nt
-from nmtraj import DensityOperator, NoiseRecord
+from nmtraj import DensityOperator, NoiseRecord, chain
 from nmtraj.errors import DegenerateState, DegenerateWeights, PathBudgetExceeded
 from nmtraj.kernels import KernelMatrix
 
@@ -54,12 +54,13 @@ def test_solve_matches_chain_readout_states(default_model, A8, grid8):
         assert abs(cond.log_weight - nt.readout_pdf(traj, A8)) <= 1e-10
 
 
-def test_solve_budget(default_model):
+def test_solve_budget(default_model, monkeypatch):
+    monkeypatch.setattr(chain, "PATH_BUDGET", 64)
     grid = nt.TimeGrid(epsilon=0.1, n_steps=10)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     rec = NoiseRecord(window=grid.full_window, values=np.zeros(10))
     with pytest.raises(PathBudgetExceeded):
-        nt.solve_unnormalized(default_model, A, grid, 1.0, rec, path_budget=64)
+        nt.solve_unnormalized(default_model, A, grid, 1.0, rec)
 
 
 def test_readout_pdf_zero_coupling(zero_coupling_model, A8, grid8):
@@ -112,7 +113,7 @@ def test_ensemble_dephasing_matches_closed_form(A8, grid8):
 
 def test_ensemble_noncommuting_matches_path_sum(default_model, A8, grid8):
     est = nt.ensemble_average(default_model, A8, grid8, 0.8, n_samples=20000, seed=9)
-    exact = nt.reduced_state(default_model, A8, grid8, 0.8)
+    exact = nt.reduced_states(default_model, A8, grid8, 0.8)[-1]
     assert nt.trace_distance(est.rho, exact) <= 3.0 * est.pooled_rho_se
     assert est.rho.trace == pytest.approx(1.0, abs=1e-12)
 
