@@ -10,7 +10,11 @@ analytically and the chain becomes an exact finite computation:
 
 * averaging over every pointer gives the reduced (open-system) state as a
   double path sum with pairwise decoherence weights
-  exp(-(Xa - Xb) . A (Xa - Xb) / 2);
+  exp(-(Xa - Xb) . A (Xa - Xb) / 2).  When the kernel has a finite bandwidth
+  L the same sum is also carried forward exactly, one step at a time, as a
+  transfer over the last L ket/bra eigenvalue index pairs (the memory
+  window); ``reduced_states`` picks one of the two routes from the model and
+  the whole-grid kernel matrix alone;
 * conditioning on read pointers multiplies each pair by a shifted-Gaussian
   likelihood ratio whose center is the symmetrized history (Xa + Xb) / 2.
 
@@ -51,9 +55,16 @@ PATH_BUDGET = 2 ** 20
 #: Most pair exponents one call may evaluate, summed over its pair sums.
 PAIR_BUDGET = 2 ** 30
 
+#: Most complex entries the memory-window transfer's block array may hold
+#: (16 MiB): m^(2(L+1)) d x d blocks for m coupling levels and bandwidth L.
+BLOCK_BUDGET = 2 ** 20
+
 #: Pair blocks are accumulated in row chunks of this many paths to bound
 #: peak memory at large path counts.
 _PAIR_CHUNK = 1024
+
+#: Cap on the transfer's exponent bound B (see _transfer_work).
+_EXPONENT_CAP = 600.0
 
 
 @dataclass(frozen=True)
@@ -201,6 +212,102 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
     return ConditionalState(rho=DensityOperator.from_matrix(num), log_weight=log_weight)
 
 
+def _exponent_increment(row: np.ndarray, ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """Step k's share of the pair exponent -(Xa - Xb).A(Xa - Xb)/2,
+
+        -A_kk D_k^2 / 2 - D_k sum_{l=1..w} A_{k,k-l} D_{k-l},   D = Xa - Xb,
+
+    for every ket history (row of ``ket``) against every bra history (row of
+    ``bra``); both hold eigenvalues at steps k - w .. k, step k last, and
+    ``row`` is A[k, k - w .. k].  Summed over k = 0 .. n - 1 the increments
+    give the exponent of the leading n-step block of A exactly.
+    """
+    past = row[:-1]
+    d_now = ket[:, -1][:, None] - bra[:, -1][None, :]
+    d_past = (ket[:, :-1] @ past)[:, None] - (bra[:, :-1] @ past)[None, :]
+    return -d_now * (d_past + 0.5 * row[-1] * d_now)
+
+
+def _bandwidth(entries: np.ndarray) -> int:
+    """Largest |i - j| with a nonzero entry of a symmetric matrix (0 when it
+    is diagonal or zero)."""
+    nz = entries != 0.0
+    idx = np.arange(nz.shape[0])
+    last = np.where(nz.any(axis=1), nz.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), idx)
+    return int(np.max(last - idx, initial=0))
+
+
+def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
+                   steps: int) -> tuple[int, int | None]:
+    """Bandwidth L of the whole-grid kernel matrix and the work
+    steps * m^(2L+2) * d^2 of the memory-window transfer over the grid, or
+    None in place of the work when the transfer may not run: its block
+    array would pass BLOCK_BUDGET entries, or its exponent bound
+    B = Dmax^2 sum_k sum_{l=1..L} |A_{k,k-l}| passes _EXPONENT_CAP, with
+    Dmax the spread of the coupling eigenvalues.
+
+    Why B <= 600 is safe.  Step k multiplies each block by exp(inc), where
+    inc is _exponent_increment; its -A_kk D_k^2 / 2 part is never positive
+    (A_kk >= 0), so inc <= Dmax^2 sum_{l=1..L} |A_{k,k-l}|, and the
+    increments of any run of steps sum to at most B.  (i) No factor
+    exceeds e^600 ~ 3.8e260, below the largest float 1.8e308, so none
+    overflows.  (ii) A pair weight that underflows at some step is below
+    the smallest normal float 2.2e-308; later steps multiply it by at most
+    e^B, so it could return to at most 2.2e-308 * e^600 ~ 8.5e-48, far
+    under 1e-16: no weight the transfer drops would have mattered.  The
+    Markov kernel has L = 0 and B = 0.
+    """
+    band = _bandwidth(A.entries)
+    m = eig.count
+    blocks = m ** (2 * band + 2) * dim * dim
+    if blocks > BLOCK_BUDGET:
+        return band, None
+    spread = float(np.ptp(eig.eigenvalues))
+    lower = sum(float(np.sum(np.abs(np.diagonal(A.entries, -lag)))) for lag in range(1, band + 1))
+    if not spread * spread * lower <= _EXPONENT_CAP:
+        return band, None
+    return band, steps * blocks
+
+
+def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
+                     eig: CouplingEigensystem, band: int, steps: int) -> list[DensityOperator]:
+    """Reduced states after 1 .. steps steps by the memory-window transfer.
+
+    The pair weight exp(-(Xa - Xb).A(Xa - Xb)/2) couples only steps at
+    most ``band`` apart, so the double path sum can be carried forward in
+    one d x d block per choice of ket and bra eigenvalue indices at the
+    last ``band`` steps (the window, oldest first).  Each step applies the
+    free unitary on both sides, splits every block by the step's projectors
+    P_a . P_b, multiplies by the step's exponent increment, and sums out the
+    index pair that leaves the window.  The sum of all blocks is the
+    unnormalized reduced state, the same double sum as the path route's.
+    """
+    U = free_step(model, grid.epsilon)
+    m, d = eig.count, model.dim
+    # Rows (a, i) of P_a U and columns (b, j) of U^dag P_b, so one step's
+    # unitary and split of every block are two matrix products.
+    left = (eig.projectors @ U).reshape(m * d, d)
+    right = (U.conj().T @ eig.projectors).transpose(1, 0, 2).reshape(d, m * d)
+    E = A.submatrix(range(steps))
+    psi = model.initial_state
+    blocks = np.outer(psi, psi.conj())[:, None, None, :]  # (d, ket window, bra window, d)
+    window = np.zeros((1, 0))  # eigenvalues along each window, oldest first
+    states = []
+    for k in range(steps):
+        r, w = window.shape
+        split = (left @ blocks.reshape(d, -1)).reshape(-1, d) @ right
+        blocks = split.reshape(m, d, r, r, m, d).transpose(1, 2, 0, 3, 4, 5).reshape(
+            d, r * m, r * m, d)
+        window = np.hstack([np.repeat(window, m, axis=0),
+                            np.tile(eig.eigenvalues, r)[:, None]])
+        blocks *= np.exp(_exponent_increment(E[k, k - w:k + 1], window, window))[..., None]
+        if w == band:
+            blocks = blocks.reshape(d, m, r, m, r, d).sum(axis=(1, 3))
+            window = window[:r, 1:]
+        states.append(DensityOperator.from_matrix(blocks.sum(axis=(1, 2))))
+    return states
+
+
 def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
                    t: float) -> list[DensityOperator]:
     """Open-system states at every grid time in (0, t]: entry k - 1 is the
@@ -208,12 +315,42 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
 
     Every pointer is integrated out, which cancels the Gaussian prior and
     leaves the double path sum with pairwise decoherence weights
-    exp(-(Xa - Xb).A(Xa - Xb)/2), split into per-path and cross terms; one
-    walk over the history tree serves every time.
+    exp(-(Xa - Xb).A(Xa - Xb)/2).  Two exact routes evaluate it:
+
+    * the path sum splits the weights into per-path and cross terms over the
+      histories of one walk over the history tree, which serves every time;
+    * the memory-window transfer (_transfer_states) carries the same sum
+      forward over the last L steps, for a kernel matrix of bandwidth L.
+
+    The transfer runs when its blocks fit BLOCK_BUDGET, its exponent bound
+    passes the overflow guard, and its work steps * m^(2L+2) * d^2 is below
+    the pair work sum_k P_k^2 of the walk over the whole grid (P_k surviving
+    paths after k steps); that walk stops once its pair work passes the
+    transfer's or the path budget.  Everything the choice reads comes from
+    the model and the whole-grid matrix A, never from t, so the states at
+    every t take the same route.
     """
     eig = eigendecompose_coupling(model)
-    # The whole walk runs first, so both budgets are checked before any pair sum.
-    prefixes = list(_walk_paths(model, grid, len(grid.window_before(t)), eig))[1:]
+    steps = len(grid.window_before(t))
+    band, work = _transfer_work(eig, A, model.dim, grid.n_steps)
+    prefixes, pairs, transfer = [], 0, False
+    try:
+        # The whole walk runs first, so both budgets are checked before any pair sum.
+        walk = _walk_paths(model, grid, steps if work is None else grid.n_steps, eig)
+        next(walk)  # the empty history
+        for k, (amps, hist) in enumerate(walk, 1):
+            if k <= steps:
+                prefixes.append((amps, hist))
+            pairs += amps.shape[0] ** 2
+            if work is not None and pairs > work:
+                transfer = True
+                break
+    except PathBudgetExceeded:
+        if work is None:
+            raise
+        transfer = True
+    if transfer:
+        return _transfer_states(model, A, grid, eig, band, steps)
     _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes))
     states = []
     for amps, hist in prefixes:

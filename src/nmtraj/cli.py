@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +307,7 @@ def cmd_evolve(config: RunConfig) -> list[Path]:
     rho01_0 = abs(complex(np.outer(model.initial_state,
                                    model.initial_state.conj())[0, 1]))
     rows = []
+    window_sum = 0.0  # sum of A over the window [0, t), kept as a running sum
     for k, rho in enumerate(reduced_states(model, A, grid, config.final_time), 1):
         t = k * grid.epsilon
         row = [t]
@@ -314,7 +315,8 @@ def cmd_evolve(config: RunConfig) -> list[Path]:
             row += [float(v.real), float(v.imag)]
         row.append(rho.purity)
         if gap is not None:
-            decay = np.exp(-0.5 * gap ** 2 * float(np.sum(A.submatrix(grid.window_before(t)))))
+            window_sum += A.entries[k - 1, k - 1] + 2.0 * float(np.sum(A.entries[k - 1, :k - 1]))
+            decay = np.exp(-0.5 * gap ** 2 * window_sum)
             row.append(float(rho01_0 * decay))
         else:
             row.append("")
@@ -523,8 +525,12 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "detector":
             outputs = cmd_detector(config, args.record_file)
         else:
+            # The suite's statistical tolerances are pinned at its own default
+            # seed, not at the config's sampling seed.
+            seed = verify_mod.DEFAULT_VERIFY_SEED if args.seed is None else args.seed
+            config = replace(config, seed=seed)
             outputs, passed = cmd_verify(config if args.config else None,
-                                         config.out_dir, config.seed)
+                                         config.out_dir, seed)
             _write_manifest(config.out_dir, config, args.command, outputs, started)
             return 0 if passed else 1
         _write_manifest(config.out_dir, config, args.command, outputs, started)

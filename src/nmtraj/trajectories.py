@@ -43,7 +43,7 @@ _MIN_EFFECTIVE_SAMPLES = 10.0
 #: Most path weights (records x paths) one evaluator block holds.
 _WEIGHT_BLOCK = 2 ** 20
 #: Most floats an ensemble keeps per sample, summed over its samples: its
-#: weight, the two readout-mean sides and the d x d projector (1 GiB).
+#: weight and the two readout-mean sides (1 GiB).
 SAMPLE_BUDGET = 2 ** 27
 
 
@@ -259,11 +259,10 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    d = model.dim
-    stored = n_samples * (3 + 2 * d * d)
+    stored = 3 * n_samples
     if stored > SAMPLE_BUDGET:
         raise SampleBudgetExceeded(
-            f"{n_samples} samples of a dimension-{d} model keep {stored} floats, "
+            f"{n_samples} samples keep {stored} floats, "
             f"over the sample budget {SAMPLE_BUDGET}; reduce the sample count")
     window = grid.window_before(t)
     A_w = A.submatrix(window)
@@ -277,8 +276,8 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     # w z_{n-1} and c . 2 A_w[n-1, :].
     lhs_w = np.empty(n_samples)
     rhs_w = np.empty(n_samples)
-    proj_all = np.empty((n_samples, d, d), dtype=complex)
-    num = np.zeros((d, d), dtype=complex)
+    num = np.zeros((model.dim, model.dim), dtype=complex)
+    chunks = []  # per chunk, the centered sums its projectors' standard errors need
     for lo in range(0, n_samples, _ENSEMBLE_CHUNK):
         hi = min(lo + _ENSEMBLE_CHUNK, n_samples)
         z = prior.sample(hi - lo, rng)
@@ -287,11 +286,13 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
         weights[lo:hi] = w
         lhs_w[lo:hi] = w * z[:, -1]
         rhs_w[lo:hi] = coupling @ last_row
-        num += psi.T @ psi.conj()
-        proj_all[lo:hi] = np.einsum("si,sj->sij", psi, psi.conj())
+        part = psi.T @ psi.conj()
+        num += part
+        chunks.append(_centered_sums(w, np.einsum("si,sj->sij", psi, psi.conj()), part))
 
+    scratch = np.square(weights)  # the one array beside the stored ones
     total = float(np.sum(weights))
-    total_sq = float(np.sum(weights ** 2))
+    total_sq = float(np.sum(scratch))
     if not (0.0 < total < np.inf and 0.0 < total_sq < np.inf):
         raise DegenerateWeights(
             f"importance weights sum to {total:.3e} with squares summing to {total_sq:.3e}; "
@@ -302,25 +303,45 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
             f"effective sample size {ess:.2f} below {_MIN_EFFECTIVE_SAMPLES}")
 
     rho = DensityOperator.from_matrix(num)
-    rho_se = np.sqrt(
-        _ratio_se(weights, proj_all.real.reshape(n_samples, -1), rho.matrix.real.ravel()) ** 2
-        + _ratio_se(weights, proj_all.imag.reshape(n_samples, -1), rho.matrix.imag.ravel()) ** 2
-    ).reshape(d, d)
+    # sum_s |u_s - w_s r|^2 over all samples from the chunks' centered sums:
+    # u - w r = (u - w r_c) + w (r_c - r) within chunk c.  The sum is a sum of
+    # squares, so a negative value is rounding around zero.
+    dev_sq = sum(S + 2.0 * (np.conj(r_c - rho.matrix) * T).real + np.abs(r_c - rho.matrix) ** 2 * Q
+                 for r_c, S, T, Q in chunks)
+    rho_se = np.sqrt(np.maximum(dev_sq, 0.0)) / total
     # The per-sample difference carries the comparison, so shared Monte Carlo
     # fluctuations cancel and its standard error is that of the discrepancy.
-    sides = (lhs_w, rhs_w, lhs_w - rhs_w)
-    means = [float(np.sum(v) / total) for v in sides]
-    ses = [float(_ratio_se(weights, v[:, None], np.array([m]))[0]) for v, m in zip(sides, means)]
+    # The sides are overwritten once read, the difference first.
+    means, ses = [], []
+    for side in (np.subtract(lhs_w, rhs_w, out=scratch), lhs_w, rhs_w):
+        means.append(float(np.sum(side) / total))
+        ses.append(_ratio_se(weights, side, means[-1], total))
     comparison = MeanReadoutComparison(
-        estimated=means[0], estimated_se=ses[0], predicted=means[1], predicted_se=ses[1],
-        difference=means[2], difference_se=ses[2])
+        estimated=means[1], estimated_se=ses[1], predicted=means[2], predicted_se=ses[2],
+        difference=means[0], difference_se=ses[0])
     return EnsembleEstimate(
         n_samples=n_samples, seed=seed, rho=rho, rho_se=rho_se,
         effective_sample_size=float(ess), mean_readout=comparison, sample_weights=weights)
 
 
-def _ratio_se(weights: np.ndarray, weighted: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """Linearized standard error of the ratio sum(w v) / sum(w), columnwise,
-    from the weighted values w v."""
-    dev = weighted - weights[:, None] * ratio[None, :]
-    return np.sqrt(np.sum(dev ** 2, axis=0)) / np.sum(weights)
+def _centered_sums(w: np.ndarray, u: np.ndarray, u_sum: np.ndarray):
+    """One chunk's ratio r_c = sum u / sum w of the weighted values u (one
+    d x d matrix per sample), with the sums centered on it that the
+    estimator's standard error needs: S_c = sum |u - w r_c|^2,
+    T_c = sum w (u - w r_c) and Q_c = sum w^2.  Centering on the chunk's
+    own ratio keeps the merge free of the cancellation raw moments suffer."""
+    w_sum = float(np.sum(w))
+    r_c = u_sum / w_sum if w_sum > 0.0 else np.zeros_like(u_sum)
+    dev = u - w[:, None, None] * r_c
+    return (r_c, np.sum(np.abs(dev) ** 2, axis=0), np.einsum("s,sij->ij", w, dev),
+            float(np.sum(w * w)))
+
+
+def _ratio_se(weights: np.ndarray, weighted: np.ndarray, ratio: float, total: float) -> float:
+    """Linearized standard error of the ratio sum(w v) / sum(w) = ratio with
+    sum(w) = total, from the weighted values w v.  It overwrites them with
+    their squared deviations, in chunks, so no other array spans the samples."""
+    for lo in range(0, weighted.size, _ENSEMBLE_CHUNK):
+        weighted[lo:lo + _ENSEMBLE_CHUNK] -= weights[lo:lo + _ENSEMBLE_CHUNK] * ratio
+    np.square(weighted, out=weighted)
+    return float(np.sqrt(np.sum(weighted)) / total)

@@ -206,6 +206,121 @@ def test_reduced_states_stop_at_t(default_model, A8, grid8):
     assert nt.reduced_states(default_model, A8, grid8, 0.0) == []
 
 
+# -------------------------------------------------- memory-window transfer
+
+
+def _tab(values, eps=0.1):
+    return nt.TabulatedKernel(lags=tuple(eps * np.arange(len(values))), values=tuple(values))
+
+
+def _routed(model, A, grid, monkeypatch):
+    """Reduced states at every grid time and how many transfer runs made them."""
+    runs = []
+    transfer = chain._transfer_states
+
+    def counting(*args):
+        runs.append(args)
+        return transfer(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "_transfer_states", counting)
+        states = nt.reduced_states(model, A, grid, grid.n_steps * grid.epsilon)
+    return states, len(runs)
+
+
+def _path_sum(model, A, grid, monkeypatch):
+    """Reduced states at every grid time with the transfer ruled out by its budget."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "BLOCK_BUDGET", 0)
+        return nt.reduced_states(model, A, grid, grid.n_steps * grid.epsilon)
+
+
+def _degenerate_qutrit():
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return nt.ModelSpec(dim=3, hamiltonian=0.5 * (M + M.conj().T),
+                        coupling=np.diag([1.0, 1.0, -1.0]),
+                        initial_state=np.array([0.6, 0.0, 0.8], dtype=complex))
+
+
+def _strong_qubit():
+    return nt.ModelSpec(dim=2, hamiltonian=nt.sigma_x(), coupling=60.0 * nt.sigma_z(),
+                        initial_state=np.array([1.0, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize("case, band", [
+    ("markov", 0), ("tab-L1", 1), ("tab-L2", 2), ("tab-L3", 3), ("qutrit", 1),
+    ("degenerate", 2), ("coupling-60", 1)])
+def test_transfer_matches_the_path_sum(case, band, default_model, monkeypatch):
+    model, kernel, steps = {
+        "markov": (default_model, nt.MarkovDeltaKernel(g=1.3), 10),
+        "tab-L1": (default_model, _tab((0.5, 0.2, 0.0)), 12),
+        "tab-L2": (default_model, _tab((0.5, 0.3, 0.1, 0.0)), 11),
+        "tab-L3": (default_model, _tab((0.6, 0.3, 0.15, 0.05, 0.0)), 10),
+        "qutrit": (_qutrit_setup()[0], _tab((0.5, 0.2, 0.0)), 7),
+        "degenerate": (_degenerate_qutrit(), _tab((0.5, 0.3, 0.1, 0.0)), 7),
+        "coupling-60": (_strong_qubit(), _tab((0.5, 0.2, 0.0)), 8),
+    }[case]
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+    A = nt.build_kernel_matrix(kernel, grid)
+    assert chain._bandwidth(A.entries) == band
+    routed, runs = _routed(model, A, grid, monkeypatch)
+    path_sum = _path_sum(model, A, grid, monkeypatch)
+    assert runs == 1
+    assert len(routed) == len(path_sum) == steps
+    for rho, ref in zip(routed, path_sum):
+        assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("case, transfer", [
+    ("qubit-tab", True), ("qubit-exp", False), ("qutrit-exp", False),
+    ("long-exp", False), ("long-7-step-support", False)])
+def test_route_choice(case, transfer, default_model, monkeypatch):
+    # The routes of the benchmark's evolve configs, and a commuting qubit whose
+    # seven-step kernel support fits the block budget but whose two paths make
+    # the pair sum far cheaper than the transfer.
+    dephasing = nt.dephasing_qubit(omega=0.7)
+    model, kernel, eps, steps = {
+        "qubit-tab": (default_model, _tab((0.5, 0.2, 0.0)), 0.1, 11),
+        "qubit-exp": (default_model, nt.ExponentialKernel(rate=1.0), 0.1, 11),
+        "qutrit-exp": (_qutrit_setup()[0], nt.ExponentialKernel(rate=1.0), 0.1, 7),
+        "long-exp": (dephasing, nt.ExponentialKernel(rate=1.0), 0.01, 120),
+        "long-7-step-support": (dephasing, _tab(np.linspace(0.5, 0.05, 7), 0.01), 0.01, 120),
+    }[case]
+    grid = nt.TimeGrid(epsilon=eps, n_steps=steps)
+    A = nt.build_kernel_matrix(kernel, grid)
+    if case == "long-7-step-support":
+        eig = nt.eigendecompose_coupling(model)
+        assert chain._transfer_work(eig, A, model.dim, steps) == (6, steps * 2 ** 14 * 4)
+    assert _routed(model, A, grid, monkeypatch)[1] == int(transfer)
+
+
+def test_exponent_increments_sum_to_the_pair_exponent():
+    rng = np.random.default_rng(4)
+    n = 6
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=0.7), nt.TimeGrid(0.2, n)).entries
+    ket, bra = rng.choice([-1.0, 0.5, 2.0], size=(2, 3, n))
+    total = sum(chain._exponent_increment(A[k, :k + 1], ket[:, :k + 1], bra[:, :k + 1])
+                for k in range(n))
+    delta = ket[:, None, :] - bra[None, :, :]
+    expected = -0.5 * np.einsum("abk,kl,abl->ab", delta, A, delta)
+    assert np.max(np.abs(total - expected)) <= 1e-14
+
+
+def test_transfer_guard_refuses_a_large_exponent_bound(default_model):
+    # Coupling 60 on 12 steps of the two-step kernel: B = 120^2 * 11 * 0.002 =
+    # 317; on 40 steps B = 1123 passes the cap, so the path sum runs.
+    eig = nt.eigendecompose_coupling(_strong_qubit())
+    for steps, allowed in ((12, True), (40, False)):
+        grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+        A = nt.build_kernel_matrix(_tab((0.5, 0.2, 0.0)), grid)
+        assert (chain._transfer_work(eig, A, 2, steps)[1] is not None) is allowed
+    # The block array of bandwidth 9 for a qubit holds 2^22 entries.
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
+    A = nt.build_kernel_matrix(_tab(np.linspace(0.5, 0.05, 10)), grid)
+    assert chain._transfer_work(nt.eigendecompose_coupling(default_model), A, 2, 12) == (9, None)
+
+
 # ------------------------------------------------------ pointer readout
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import nmtraj as nt
 from nmtraj import chain, cli
+from nmtraj import verify as verify_mod
 from nmtraj.errors import ConfigError
 from nmtraj.noise import GaussianDensity
 
@@ -212,6 +213,35 @@ def test_evolve_walks_the_path_tree_once(tmp_path, monkeypatch):
     assert walks == [8]
     _, rows = _read_csv(tmp_path / "out" / "evolve.csv")
     assert len(rows) == 8
+
+
+def test_evolve_long_grid_with_finite_support_kernel(tmp_path, monkeypatch):
+    # 1000 noncommuting steps (2^1000 histories) of a two-step kernel: the
+    # memory-window transfer carries every row in one pass.
+    import time
+    out = tmp_path / "out"
+    kernel = {"kind": "tabulated", "samples": [[0.0, 0.5], [0.1, 0.2], [0.2, 0.0]]}
+    cfg = _write_config(tmp_path / "cfg.json", kernel=kernel,
+                        grid={"epsilon": 0.1, "n_steps": 1000},
+                        output={"directory": str(out), "format": "csv"})
+    start = time.monotonic()
+    assert _run(["evolve", "--config", cfg]) == 0
+    assert time.monotonic() - start < 2.0
+    header, rows = _read_csv(out / "evolve.csv")
+    assert len(rows) == 1000
+    cols = [header.index(f"rho_{part}_{i}{j} (dimensionless)")
+            for i in range(2) for j in range(2) for part in ("re", "im")]
+    rhos = np.array([[float(row[c]) for c in cols] for row in rows])
+    rhos = (rhos[:, 0::2] + 1j * rhos[:, 1::2]).reshape(-1, 2, 2)
+    assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) <= 1e-12
+    assert np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1))) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(rhos)) >= -1e-12
+    # The first 12 rows against the path sum on a 12-step grid.
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
+    A = nt.build_kernel_matrix(cli._parse_kernel(kernel), grid)
+    monkeypatch.setattr(chain, "BLOCK_BUDGET", 0)
+    reference = nt.reduced_states(nt.default_qubit(), A, grid, 1.2)
+    assert max(np.max(np.abs(rho - ref.matrix)) for rho, ref in zip(rhos, reference)) <= 1e-12
 
 
 def test_evolve_strong_coupling(tmp_path):
@@ -440,7 +470,7 @@ def test_non_finite_config_numbers(tmp_path, capsys, blocks, extra, field):
 
 
 @pytest.mark.parametrize("argv, status", [
-    (["evolve"], 1),
+    (["evolve"], 0),
     (["trajectory"], 1),
     (["ensemble", "--samples", "200"], 1),
     (["detector"], 1),
@@ -449,7 +479,9 @@ def test_non_finite_config_numbers(tmp_path, capsys, blocks, extra, field):
 def test_huge_kernel_rate_is_typed(tmp_path, capsys, argv, status):
     # Entries near 1e297 pass validation, but the path sums' exponents leave
     # the float range: a typed error or a valid state, and no RuntimeWarning
-    # (which this suite turns into an exception) on the way.
+    # (which this suite turns into an exception) on the way.  The kernel
+    # matrix is diagonal, so evolve takes the memory-window transfer, where
+    # each step's coherence factor exp(-A_kk D^2 / 2) is exactly 0.
     cfg = _write_config(tmp_path / "cfg.json", kernel={"kind": "exponential", "lambda": 1e300},
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
     assert _run([*argv, "--config", cfg]) == status
@@ -457,6 +489,13 @@ def test_huge_kernel_rate_is_typed(tmp_path, capsys, argv, status):
     assert "Traceback" not in err
     if status:
         assert err.startswith("error: ")
+    elif argv == ["evolve"]:
+        header, rows = _read_csv(tmp_path / "out" / "evolve.csv")
+        for row in rows:
+            values = {name.split(" ")[0]: float(v) for name, v in zip(header, row) if v}
+            assert values["rho_re_00"] + values["rho_re_11"] == pytest.approx(1.0, abs=1e-12)
+            assert values["rho_re_01"] == values["rho_im_01"] == 0.0
+            assert 0.5 <= values["purity"] <= 1.0 + 1e-12
     else:
         report = json.loads((tmp_path / "out" / "detector.json").read_text())
         assert 0.0 < report["purity"] <= 1.0 + 1e-12
@@ -497,6 +536,24 @@ def test_verify_surfaces_invalid_kernel(tmp_path, capsys):
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
     assert _run(["verify", "--config", cfg]) == 1
     assert "positive semidefinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    ([], verify_mod.DEFAULT_VERIFY_SEED), (["--seed", "7"], 7)])
+def test_verify_runs_at_its_default_seed(tmp_path, monkeypatch, argv, seed):
+    # The config's sampling seed (12345 by default) is not the suite's.
+    seeds = []
+
+    def report(seed):
+        seeds.append(seed)
+        return {"criteria": [], "passed": True, "seed": seed}
+
+    monkeypatch.setattr(verify_mod, "run_report", report)
+    out = tmp_path / "out"
+    assert _run(["verify", "--out", str(out), *argv]) == 0
+    assert seeds == [seed]
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+    assert json.loads((out / "verify_report.json").read_text())["seed"] == seed
 
 
 def test_manifest_written(tmp_path):

@@ -3,8 +3,10 @@ kernels.
 
 Hermitian models of dimension 2-4 (couplings drawn with repeated
 eigenvalues, so degenerate levels merge) under exponential kernels and
-positive mixtures of triangle kernels, on at most five steps.  Examples are
-derandomized, so every run checks the same cases.
+positive mixtures of triangle kernels, on at most five steps; and qubits
+and qutrits on 6-9 steps under triangle kernels whose support is shorter
+than the grid, where the reduced states may take the memory-window
+transfer.  Examples are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmtraj as nt
-from nmtraj import DensityOperator, NoiseRecord
+from nmtraj import DensityOperator, NoiseRecord, chain
 
 _SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
@@ -97,6 +99,56 @@ def test_delay_over_the_whole_window_is_the_reduced_state(case):
     delayed = nt.delayed_state(model, A, grid, t, t, NoiseRecord(window=range(0, 0),
                                                                values=np.zeros(0)))
     assert nt.trace_distance(delayed.rho, nt.reduced_states(model, A, grid, t)[-1]) <= 1e-12
+
+
+@st.composite
+def _finite_support_cases(draw):
+    """A qubit or qutrit with a possibly degenerate coupling, on 6-9 steps
+    (6 when all three qutrit levels are distinct), under a positive mixture
+    of triangles that vanishes from lag support * eps on."""
+    d = draw(st.integers(2, 3))
+    M = _complex_matrix(draw, d)
+    Q, _ = np.linalg.qr(_complex_matrix(draw, d) + 2.0 * np.eye(d))
+    levels = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=d, max_size=d))
+    X = Q @ np.diag(levels) @ Q.conj().T
+    psi = _complex_matrix(draw, d)[0] + 1e-3
+    model = nt.ModelSpec(dim=d, hamiltonian=0.5 * (M + M.conj().T),
+                         coupling=0.5 * (X + X.conj().T), initial_state=psi / np.linalg.norm(psi))
+    steps = 6 if len(set(levels)) == 3 else draw(st.integers(6, 9))
+    eps = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    support = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.floats(0.5 * eps, support * eps), min_size=1, max_size=2))
+    weights = draw(st.lists(st.floats(0.1, 3.0), min_size=len(widths), max_size=len(widths)))
+    lags = eps * np.arange(support + 1)
+    values = sum(c * np.clip(1.0 - lags / w, 0.0, None) for c, w in zip(weights, widths))
+    grid = nt.TimeGrid(epsilon=eps, n_steps=steps)
+    return model, nt.build_kernel_matrix(nt.TabulatedKernel(lags=tuple(lags),
+                                                            values=tuple(values)), grid), grid
+
+
+def test_finite_support_reduced_states_are_the_fully_delayed_states(monkeypatch):
+    runs = []
+    transfer = chain._transfer_states
+
+    def counting(*args):
+        runs.append(args)
+        return transfer(*args)
+
+    monkeypatch.setattr(chain, "_transfer_states", counting)
+
+    @_SETTINGS
+    @given(case=_finite_support_cases())
+    def check(case):
+        model, A, grid = case
+        states = nt.reduced_states(model, A, grid, grid.n_steps * grid.epsilon)
+        for k, rho in enumerate(states, 1):
+            t = k * grid.epsilon
+            delayed = nt.delayed_state(model, A, grid, t, t,
+                                       NoiseRecord(window=range(0, 0), values=np.zeros(0)))
+            assert np.max(np.abs(rho.matrix - delayed.rho.matrix)) <= 1e-12
+
+    check()
+    assert runs  # some drawn cases take the transfer
 
 
 @st.composite

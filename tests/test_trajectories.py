@@ -156,6 +156,42 @@ def test_ensemble_memory_is_bounded_by_the_weight_block(default_model, steps):
     assert peak < 64 * 2 ** 20
 
 
+def test_ensemble_memory_grows_by_three_floats_per_sample(default_model):
+    # Per sample the ensemble keeps its weight and the two readout-mean sides;
+    # the projectors' standard errors come from per-chunk centered sums.
+    import tracemalloc
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=3)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    nt.ensemble_average(default_model, A, grid, 0.3, n_samples=100, seed=21)
+    peaks = []
+    for n in (2 * 8192, 8 * 8192):
+        tracemalloc.start()
+        try:
+            nt.ensemble_average(default_model, A, grid, 0.3, n_samples=n, seed=21)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (6 * 8192) <= 3.5 * 8
+
+
+def test_ensemble_standard_errors_merge_chunks_exactly(default_model, A8, grid8):
+    # The chunk merge against the one-pass sum over every sample's projector.
+    from nmtraj.noise import _generator, readout_prior
+    from nmtraj.trajectories import _ENSEMBLE_CHUNK, _STREAM_ENSEMBLE, _evaluate
+    n = 2 * _ENSEMBLE_CHUNK + 300
+    est = nt.ensemble_average(default_model, A8, grid8, 0.8, n_samples=n, seed=22)
+    paths = nt.build_paths(default_model, grid8, grid8.full_window)
+    rng = _generator(22, _STREAM_ENSEMBLE)
+    prior = readout_prior(A8)
+    psi = np.concatenate([
+        _evaluate(prior.sample(min(_ENSEMBLE_CHUNK, n - lo), rng), paths.eigenvalue_sequences,
+                  paths.amplitudes, A8.entries)[0] for lo in range(0, n, _ENSEMBLE_CHUNK)])
+    w = np.einsum("si,si->s", psi, psi.conj()).real
+    dev = np.einsum("si,sj->sij", psi, psi.conj()) - w[:, None, None] * est.rho.matrix
+    expected = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0)) / np.sum(w)
+    assert np.max(np.abs(est.rho_se - expected)) <= 1e-12 * np.max(expected)
+
+
 # ------------------------------------------------------------ mean readout
 
 
