@@ -6,17 +6,16 @@ detector at step k receives an impulsive kick that shifts its pointer by the
 system's coupling observable.  Inserting the coupling eigenprojectors at
 every step turns each time-ordered superoperator into a plain number along a
 pair of eigenvalue histories, so all pointer Gaussian integrals can be done
-analytically and the chain becomes an exact finite computation:
+analytically and the chain becomes an exact finite computation.
 
-* averaging over every pointer gives the reduced (open-system) state as a
-  double path sum with pairwise decoherence weights
-  exp(-(Xa - Xb) . A (Xa - Xb) / 2).  When the kernel has a finite bandwidth
-  L the same sum is also carried forward exactly, one step at a time, as a
-  transfer over the last L ket/bra eigenvalue index pairs (the memory
-  window); ``reduced_states`` picks one of the two routes from the model and
-  the whole-grid kernel matrix alone;
-* conditioning on read pointers multiplies each pair by a shifted-Gaussian
-  likelihood ratio whose center is the symmetrized history (Xa + Xb) / 2.
+Every chain state is one double path sum over ket/bra history pairs, which
+``_conditional`` evaluates: a decoherence weight
+exp(-(Xa - Xb) . A (Xa - Xb) / 2) times, for a record of read pointers or
+readouts, a shifted-Gaussian likelihood ratio centered on (Xa + Xb) / 2.
+With nothing read it is the reduced (open-system) state.  For a kernel of
+finite bandwidth L, ``reduced_states`` may instead carry that sum forward
+exactly as a transfer over the last L ket/bra eigenvalue index pairs (the
+memory window); the path sum stays the reference route.
 
 Conventions fixed here and mirrored bit-for-bit by the trajectory solver:
 within one step the free unitary acts first and the detector kick acts at
@@ -153,25 +152,39 @@ def _check_pairs(pairs: int) -> None:
             "reduce the step count or Hilbert dimension")
 
 
-def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, left: np.ndarray,
-                     right: np.ndarray):
-    """Accumulate the pairwise sum
+def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray,
+                 density: GaussianDensity | None = None, centers: np.ndarray | None = None,
+                 values: np.ndarray | None = None) -> ConditionalState:
+    """The one pair sum behind every path-sum chain state,
 
         num = sum_ab exp(e_a + e_b + K_ab) |v_a><v_b|,   K_ab = left_a . right_b,
 
-    with a global exponent shift for stability, one row chunk of K at a time
-    so no array spans all path pairs.  Returns (num, trace, shift) where the
-    true values are num * exp(shift) and trace * exp(shift); trace = tr num
-    equals sum_ab exp(e_a + e_b + K_ab) <v_b|v_a>.
+    over histories Xs with amplitudes ``amps``: the decoherence weight gives
+    e_a = -Xa.A_w.Xa/2 and K_ab = Xa.A_w.Xb.  With no density nothing is
+    read and num is the reduced state.  Otherwise ``centers[p]`` shifts the
+    read record's Gaussian for history p, and pair (a, b) also carries the
+    shifted likelihood ratio with shift centers[a] + centers[b], evaluated
+    through the density's precision solves so this route stays numerically
+    independent of the trajectory solver's direct exponents.
 
-    Every chain state's pair-weight matrix is positive semidefinite (a rank-one
-    factor times exp(Xa S Xb) with S = A or a Schur complement of A), so its
-    largest entry lies on the diagonal and the shift bounds every exponent.
-    Exponents past the float range leave num non-finite or zero, which the
-    callers' finite checks turn into DegenerateState.
+    K is built one row chunk at a time, so no array spans all path pairs.
+    Each pair-weight matrix here is PSD (a rank-one factor times exp(Xa S Xb),
+    S = A or a Schur complement of A), so its largest entry is on the
+    diagonal and one global shift bounds every exponent; exponents past the
+    float range end in DegenerateState.
     """
     p, d = amps.shape
     _check_pairs(p * p)
+    XA = Xs @ A_w
+    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA)
+    left, right = XA, Xs
+    if density is not None and density.dim:
+        u = density.precision_apply(values)
+        Z = density.precision_apply(centers.T).T
+        path_log = path_log + centers @ u - 0.5 * np.einsum("pk,pk->p", centers, Z)
+        # Cross term Xa.A.Xb - (Ca.Zb + Za.Cb) / 2 as one inner product.
+        left = np.hstack([XA, -0.5 * centers, -0.5 * Z])
+        right = np.hstack([Xs, Z, centers])
     num = np.zeros((d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", left, right))) if p else 0.0
@@ -179,37 +192,13 @@ def _pair_accumulate(amps: np.ndarray, path_log: np.ndarray, left: np.ndarray,
             hi = min(lo + _PAIR_CHUNK, p)
             W = np.exp(path_log[lo:hi, None] + path_log[None, :] + left[lo:hi] @ right.T - shift)
             num += amps[lo:hi].T @ (W @ amps.conj())
-    return num, float(np.trace(num).real), shift
-
-
-def _conditional(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
-                 centers: np.ndarray, values: np.ndarray) -> ConditionalState:
-    """Shared pairwise machinery for all conditioned states.
-
-    ``centers[p]`` is the vector by which history p shifts the read record's
-    Gaussian; pair (a, b) then carries the shifted likelihood with shift
-    centers[a] + centers[b] on top of the decoherence weight.  The shift
-    ratio is evaluated through the density's precision solves, keeping this
-    route numerically independent of the trajectory solver's direct
-    exponents.
-    """
-    Xs = paths.eigenvalue_sequences
-    XA = Xs @ A_w
-    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA)
-    left, right = XA, Xs
-    if density.dim:
-        u = density.precision_apply(values)
-        Z = density.precision_apply(centers.T).T
-        path_log = path_log + centers @ u - 0.5 * np.einsum("pk,pk->p", centers, Z)
-        # Cross term Xa.A.Xb - (Ca.Zb + Za.Cb) / 2 as one inner product.
-        left = np.hstack([XA, -0.5 * centers, -0.5 * Z])
-        right = np.hstack([Xs, Z, centers])
-    num, trace, shift = _pair_accumulate(paths.amplitudes, path_log, left, right)
+    trace = float(np.trace(num).real)
     if not 0.0 < trace < np.inf:
-        raise DegenerateState(f"conditional state has weight {trace}; the record values "
+        raise DegenerateState(f"chain state has weight {trace}; the record values "
                               "are out of the range this path sum can represent")
-    log_weight = density.logpdf(values) + float(np.log(trace)) + shift
-    return ConditionalState(rho=DensityOperator.from_matrix(num), log_weight=log_weight)
+    log_prior = density.logpdf(values) if density is not None else 0.0
+    return ConditionalState(rho=DensityOperator.from_matrix(num),
+                            log_weight=log_prior + float(np.log(trace)) + shift)
 
 
 def _exponent_increment(row: np.ndarray, ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
@@ -242,29 +231,47 @@ def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
     """Bandwidth L of the whole-grid kernel matrix and the work
     steps * m^(2L+2) * d^2 of the memory-window transfer over the grid, or
     None in place of the work when the transfer may not run: its block
-    array would pass BLOCK_BUDGET entries, or its exponent bound
-    B = Dmax^2 sum_k sum_{l=1..L} |A_{k,k-l}| passes _EXPONENT_CAP, with
-    Dmax the spread of the coupling eigenvalues.
+    array would pass BLOCK_BUDGET entries, or its local exponent bound
 
-    Why B <= 600 is safe.  Step k multiplies each block by exp(inc), where
-    inc is _exponent_increment; its -A_kk D_k^2 / 2 part is never positive
-    (A_kk >= 0), so inc <= Dmax^2 sum_{l=1..L} |A_{k,k-l}|, and the
-    increments of any run of steps sum to at most B.  (i) No factor
-    exceeds e^600 ~ 3.8e260, below the largest float 1.8e308, so none
-    overflows.  (ii) A pair weight that underflows at some step is below
-    the smallest normal float 2.2e-308; later steps multiply it by at most
-    e^B, so it could return to at most 2.2e-308 * e^600 ~ 8.5e-48, far
-    under 1e-16: no weight the transfer drops would have mattered.  The
-    Markov kernel has L = 0 and B = 0.
+        B = Dmax^2 max_k sum_{j < k <= i, i - j <= L} |A_ij|
+
+    passes _EXPONENT_CAP, with Dmax the spread of the coupling eigenvalues.
+    The sum at k is over the corner coupling the steps before k to the
+    steps from k on; its nonzero entries lie on the L lower diagonals, so
+    B takes O(nL).
+
+    Why B <= 600 is safe.  Write D = Xa - Xb for a history pair.  After k
+    steps its weight is exp(-D.A_k.D/2), with A_k the leading k x k block
+    of A.  A_k is PSD, so the weight is at most 1 (at most
+    exp(PSD_RTOL ||A|| |D|^2 / 2) for an A that passed its check only
+    within the PSD_RTOL slack, since interlacing keeps A_k's smallest
+    eigenvalue above A's).  Steps k .. k' - 1 multiply it by their summed
+    increments, exp(-D'.A'.D'/2 - D'.A_c.D), with D' on the new steps, A'
+    the trailing block over them (PSD, with the same slack) and A_c the
+    block coupling them to the earlier steps.  A_c is nonzero only in the
+    corner summed at k, so the factor is at most e^B however long the run.
+    Hence (i) no factor exceeds e^600 ~ 3.8e260 < 1.8e308 and no weight
+    exceeds 1, so nothing overflows; (ii) a weight that underflows below
+    the smallest normal float 2.2e-308 could return to at most
+    2.2e-308 * e^600 ~ 8.5e-48, far under 1e-16, so no weight the transfer
+    drops would have mattered.  The bound spans one window, not the grid,
+    and the diagonal pairs keep weight 1, so the reduced states need no
+    renormalization.  The Markov kernel has L = 0 and B = 0.
     """
     band = _bandwidth(A.entries)
     m = eig.count
     blocks = m ** (2 * band + 2) * dim * dim
     if blocks > BLOCK_BUDGET:
         return band, None
+    # cut[k] - cut[k - 1] adds the entries A[j + lag, j] whose corners start
+    # at k = j + 1 and drops those whose corners ended at k - 1 = j + lag.
+    cut = np.zeros(A.size + 1)
+    for lag in range(1, band + 1):
+        mass = np.abs(np.diagonal(A.entries, -lag))
+        cut[1:mass.size + 1] += mass
+        cut[lag + 1:] -= mass
     spread = float(np.ptp(eig.eigenvalues))
-    lower = sum(float(np.sum(np.abs(np.diagonal(A.entries, -lag)))) for lag in range(1, band + 1))
-    if not spread * spread * lower <= _EXPONENT_CAP:
+    if not spread * spread * float(np.max(np.cumsum(cut))) <= _EXPONENT_CAP:
         return band, None
     return band, steps * blocks
 
@@ -313,27 +320,24 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     """Open-system states at every grid time in (0, t]: entry k - 1 is the
     pointer-averaged chain at time k * epsilon.
 
-    Every pointer is integrated out, which cancels the Gaussian prior and
-    leaves the double path sum with pairwise decoherence weights
-    exp(-(Xa - Xb).A(Xa - Xb)/2).  Two exact routes evaluate it:
-
-    * the path sum splits the weights into per-path and cross terms over the
-      histories of one walk over the history tree, which serves every time;
-    * the memory-window transfer (_transfer_states) carries the same sum
-      forward over the last L steps, for a kernel matrix of bandwidth L.
-
-    The transfer runs when its blocks fit BLOCK_BUDGET, its exponent bound
-    passes the overflow guard, and its work steps * m^(2L+2) * d^2 is below
-    the pair work sum_k P_k^2 of the walk over the whole grid (P_k surviving
-    paths after k steps); that walk stops once its pair work passes the
-    transfer's or the path budget.  Everything the choice reads comes from
-    the model and the whole-grid matrix A, never from t, so the states at
-    every t take the same route.
+    Integrating out every pointer cancels the Gaussian prior and leaves the
+    double path sum with decoherence weights exp(-(Xa - Xb).A(Xa - Xb)/2).
+    Two exact routes evaluate it: the one pair sum (_conditional, nothing
+    read) on every prefix of one walk over the history tree, and the
+    memory-window transfer (_transfer_states), which carries the sum forward
+    over the last L steps of a bandwidth-L kernel.  The transfer runs when
+    _transfer_work allows it and the path sum over the whole grid would cost
+    more than its steps * m^(2L+2) * d^2: the path sum costs
+    sum_k P_k^2 * k, since each of the P_k^2 pairs after k steps (P_k
+    surviving paths) also costs a k-long exponent row, and past the path
+    budget it cannot run.  The walk prices itself as it goes and stops once
+    it costs more.  The choice reads only the model and the whole-grid A,
+    never t, so every t takes the same route.
     """
     eig = eigendecompose_coupling(model)
     steps = len(grid.window_before(t))
     band, work = _transfer_work(eig, A, model.dim, grid.n_steps)
-    prefixes, pairs, transfer = [], 0, False
+    prefixes, cost = [], 0.0
     try:
         # The whole walk runs first, so both budgets are checked before any pair sum.
         walk = _walk_paths(model, grid, steps if work is None else grid.n_steps, eig)
@@ -341,24 +345,18 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
         for k, (amps, hist) in enumerate(walk, 1):
             if k <= steps:
                 prefixes.append((amps, hist))
-            pairs += amps.shape[0] ** 2
-            if work is not None and pairs > work:
-                transfer = True
+            cost += amps.shape[0] ** 2 * k
+            if work is not None and cost > work:
                 break
     except PathBudgetExceeded:
         if work is None:
             raise
-        transfer = True
-    if transfer:
+        cost = np.inf
+    if work is not None and cost > work:
         return _transfer_states(model, A, grid, eig, band, steps)
     _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes))
-    states = []
-    for amps, hist in prefixes:
-        Xs = eig.eigenvalues[hist.astype(int)]
-        XA = Xs @ A.submatrix(range(hist.shape[1]))
-        num, _, _ = _pair_accumulate(amps, -0.5 * np.einsum("pk,pk->p", Xs, XA), XA, Xs)
-        states.append(DensityOperator.from_matrix(num))
-    return states
+    return [_conditional(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(k))).rho
+            for k, (amps, hist) in enumerate(prefixes, 1)]
 
 
 def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -375,10 +373,10 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     if record.kind != "pointer" or record.window != window:
         raise ValueError("expected a pointer record on the window [0, t)")
     paths = build_paths(model, grid, window)
-    A_w = A.submatrix(window)
     density = pointer_prior(A, window)
     centers = 0.5 * paths.eigenvalue_sequences
-    return _conditional(paths, A_w, density, centers, record.values)
+    return _conditional(paths.amplitudes, paths.eigenvalue_sequences, A.submatrix(window),
+                        density, centers, record.values)
 
 
 def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -403,10 +401,10 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     if record.kind != "readout" or record.window != read:
         raise ValueError("expected a readout record on the window [0, t - delay)")
     paths = build_paths(model, grid, window)
-    A_w = A.submatrix(window)
     density = GaussianDensity(window=read, covariance=A.submatrix(read))
     centers = paths.eigenvalue_sequences @ A.block(read, window).T
-    return _conditional(paths, A_w, density, centers, record.values)
+    return _conditional(paths.amplitudes, paths.eigenvalue_sequences, A.submatrix(window),
+                        density, centers, record.values)
 
 
 def vn_measure(detector: SingleDetector, model: ModelSpec, tau: float,

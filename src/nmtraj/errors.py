@@ -37,8 +37,8 @@ class DegenerateWeights(NmtrajError):
 
 
 class DegenerateState(NmtrajError, ValueError):
-    """A state's weight vanished, overflowed or stopped being finite, so it
-    cannot be normalized; typically the record values are out of range."""
+    """A state's weight vanished, overflowed or stopped being finite, or its normalized
+    matrix is not positive semidefinite; typically the record values are out of range."""
 
 
 class ConfigError(NmtrajError):

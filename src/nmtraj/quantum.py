@@ -97,7 +97,10 @@ class DensityOperator:
         tr = np.trace(m).real
         if not (tr > 0.0 and np.all(np.isfinite(m))):
             raise DegenerateState(f"cannot normalize matrix with trace {tr}")
-        return DensityOperator(matrix=m / tr)
+        try:
+            return DensityOperator(matrix=m / tr)
+        except ValueError as exc:  # hermitized and normalized: only the eigenvalue check fails
+            raise DegenerateState(f"normalized matrix is not a state: {exc}") from exc
 
     @staticmethod
     def from_state(psi: np.ndarray) -> "DensityOperator":

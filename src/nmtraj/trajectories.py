@@ -52,25 +52,24 @@ class Trajectory:
     """One noise realization: per-step unnormalized states and summaries.
 
     ``states[k]`` is the unnormalized state after k steps (states[0] is the
-    initial state); ``norms[k]`` its norm.  ``cond_expectations[j]`` is the
-    conditional expectation at the final time of the coupling observable
-    attached to step j, evaluated as the normalized real overlap of the
-    final state with its derivative in the step's readout component.  That
+    initial state); ``norms[k]`` its norm.  ``retarded[k - 1]`` is the
+    retarded readout after k steps: twice the kernel row of step k - 1
+    against the conditional expectations of the record cut after k steps,
+    taken from the same walk.  The conditional expectation of the coupling
+    observable attached to step j is the normalized real overlap of the
+    state with its derivative in the step's readout component.  That
     time-ordered reading is the one under which the readout-mean law is an
     exact identity of the discrete weights (the bare operator transported to
     the final time differs at first order in the kernel weights for
     noncommuting models, and measurably fails the law); for commuting models
-    the two readings coincide.  ``retarded[k - 1]`` is the retarded readout
-    after k steps: twice the kernel row of step k - 1 against the
-    conditional expectations of the record cut after k steps, taken from the
-    same walk.  For the exponential kernel it is (eps times) the
-    left-endpoint discretization of rate * integral exp(-rate (t - s)) <X_s> ds.
+    the two readings coincide.  For the exponential kernel the retarded
+    readout is (eps times) the left-endpoint discretization of
+    rate * integral exp(-rate (t - s)) <X_s> ds.
     """
 
     record: NoiseRecord
     states: np.ndarray            # (steps + 1, dim) complex
     norms: np.ndarray             # (steps + 1,)
-    cond_expectations: np.ndarray  # (steps,)
     retarded: np.ndarray          # (steps,)
 
     @property
@@ -177,8 +176,7 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
                               "values are out of the range this path sum can represent")
     conds = [c / norms[k] ** 2 for k, c in enumerate(conds)]
     retarded = np.array([2.0 * A_w[k - 1, :k] @ conds[k] for k in range(1, n + 1)])
-    return Trajectory(record=record, states=states, norms=norms, cond_expectations=conds[-1],
-                      retarded=retarded)
+    return Trajectory(record=record, states=states, norms=norms, retarded=retarded)
 
 
 def readout_pdf(trajectory: Trajectory, A: KernelMatrix) -> float:

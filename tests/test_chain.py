@@ -243,8 +243,8 @@ def _degenerate_qutrit():
                         initial_state=np.array([0.6, 0.0, 0.8], dtype=complex))
 
 
-def _strong_qubit():
-    return nt.ModelSpec(dim=2, hamiltonian=nt.sigma_x(), coupling=60.0 * nt.sigma_z(),
+def _qubit_coupled(strength):
+    return nt.ModelSpec(dim=2, hamiltonian=nt.sigma_x(), coupling=strength * nt.sigma_z(),
                         initial_state=np.array([1.0, 0.0], dtype=complex))
 
 
@@ -259,7 +259,7 @@ def test_transfer_matches_the_path_sum(case, band, default_model, monkeypatch):
         "tab-L3": (default_model, _tab((0.6, 0.3, 0.15, 0.05, 0.0)), 10),
         "qutrit": (_qutrit_setup()[0], _tab((0.5, 0.2, 0.0)), 7),
         "degenerate": (_degenerate_qutrit(), _tab((0.5, 0.3, 0.1, 0.0)), 7),
-        "coupling-60": (_strong_qubit(), _tab((0.5, 0.2, 0.0)), 8),
+        "coupling-60": (_qubit_coupled(60.0), _tab((0.5, 0.2, 0.0)), 8),
     }[case]
     grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
     A = nt.build_kernel_matrix(kernel, grid)
@@ -274,17 +274,20 @@ def test_transfer_matches_the_path_sum(case, band, default_model, monkeypatch):
 
 @pytest.mark.parametrize("case, transfer", [
     ("qubit-tab", True), ("qubit-exp", False), ("qutrit-exp", False),
-    ("long-exp", False), ("long-7-step-support", False)])
+    ("long-exp", False), ("long-tab", True), ("long-7-step-support", False)])
 def test_route_choice(case, transfer, default_model, monkeypatch):
     # The routes of the benchmark's evolve configs, and a commuting qubit whose
     # seven-step kernel support fits the block budget but whose two paths make
-    # the pair sum far cheaper than the transfer.
+    # the pair sum far cheaper than the transfer.  Under the two-step kernel
+    # the commuting qubit's two paths cost sum_k 4k = 29040 on 120 steps, more
+    # than the transfer's 120 * 2^4 * 4 = 7680.
     dephasing = nt.dephasing_qubit(omega=0.7)
     model, kernel, eps, steps = {
         "qubit-tab": (default_model, _tab((0.5, 0.2, 0.0)), 0.1, 11),
         "qubit-exp": (default_model, nt.ExponentialKernel(rate=1.0), 0.1, 11),
         "qutrit-exp": (_qutrit_setup()[0], nt.ExponentialKernel(rate=1.0), 0.1, 7),
         "long-exp": (dephasing, nt.ExponentialKernel(rate=1.0), 0.01, 120),
+        "long-tab": (dephasing, _tab((0.5, 0.2, 0.0), 0.01), 0.01, 120),
         "long-7-step-support": (dephasing, _tab(np.linspace(0.5, 0.05, 7), 0.01), 0.01, 120),
     }[case]
     grid = nt.TimeGrid(epsilon=eps, n_steps=steps)
@@ -308,17 +311,58 @@ def test_exponent_increments_sum_to_the_pair_exponent():
 
 
 def test_transfer_guard_refuses_a_large_exponent_bound(default_model):
-    # Coupling 60 on 12 steps of the two-step kernel: B = 120^2 * 11 * 0.002 =
-    # 317; on 40 steps B = 1123 passes the cap, so the path sum runs.
-    eig = nt.eigendecompose_coupling(_strong_qubit())
-    for steps, allowed in ((12, True), (40, False)):
-        grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
-        A = nt.build_kernel_matrix(_tab((0.5, 0.2, 0.0)), grid)
-        assert (chain._transfer_work(eig, A, 2, steps)[1] is not None) is allowed
+    # Each corner of the two-step kernel holds one entry, A_{k,k-1} = 0.002,
+    # so the local bound is B = (2c)^2 * 0.002 = 0.008 c^2 on any grid: 28.8
+    # at coupling 60 on 40 steps (the whole-grid bound was 1123) and 720 at
+    # coupling 300, which passes the cap.
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=40)
+    A = nt.build_kernel_matrix(_tab((0.5, 0.2, 0.0)), grid)
+    for strength, allowed in ((60.0, True), (300.0, False)):
+        eig = nt.eigendecompose_coupling(_qubit_coupled(strength))
+        assert (chain._transfer_work(eig, A, 2, 40)[1] is not None) is allowed
     # The block array of bandwidth 9 for a qubit holds 2^22 entries.
     grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
     A = nt.build_kernel_matrix(_tab(np.linspace(0.5, 0.05, 10)), grid)
     assert chain._transfer_work(nt.eigendecompose_coupling(default_model), A, 2, 12) == (9, None)
+
+
+def test_local_exponent_bound_is_the_largest_corner(default_model, monkeypatch):
+    # The guard's O(nL) bound against the corners summed entry by entry, on
+    # a bandwidth-3 kernel with a negative lag value; corners near the grid's
+    # ends hold fewer entries.
+    n, band = 9, 3
+    A = nt.build_kernel_matrix(_tab((0.6, 0.25, -0.05, 0.02, 0.0)), nt.TimeGrid(0.1, n))
+    assert chain._bandwidth(A.entries) == band
+    corners = [sum(abs(A.entries[i, j]) for j in range(k)
+                   for i in range(k, min(j + band, n - 1) + 1)) for k in range(n + 1)]
+    bound = 4.0 * max(corners)  # sigma_z eigenvalues -1 and 1: Dmax^2 = 4
+    eig = nt.eigendecompose_coupling(default_model)
+    for cap, allowed in ((bound * (1 + 1e-9), True), (bound * (1 - 1e-9), False)):
+        monkeypatch.setattr(chain, "_EXPONENT_CAP", cap)
+        assert (chain._transfer_work(eig, A, 2, n)[1] is not None) is allowed
+
+
+@pytest.mark.parametrize("strength, steps", [(60.0, 40), (30.0, 300), (10.0, 1000)])
+def test_transfer_matches_an_extended_precision_run(strength, steps, monkeypatch):
+    # Without renormalization the float64 transfer's off-diagonal pair weights
+    # underflow at these couplings; the same step loop in 80-bit long double
+    # (exponent range ~1e+-4932) is the oracle.
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is not an extended-precision type here")
+    kernel = nt.TabulatedKernel(lags=(0.0, 0.1, 0.2), values=(1.0, 0.5, 0.0))
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+    A = nt.build_kernel_matrix(kernel, grid)
+    model = _qubit_coupled(strength)
+    eig = nt.eigendecompose_coupling(model)
+    assert chain._transfer_work(eig, A, 2, steps)[1] is not None
+    double = chain._transfer_states(model, A, grid, eig, 1, steps)
+    U = nt.free_step(model, grid.epsilon)
+    monkeypatch.setattr(chain, "free_step", lambda *_: U.astype(np.clongdouble))
+    eig_ld = nt.CouplingEigensystem(eigenvalues=eig.eigenvalues.astype(np.longdouble),
+                                    projectors=eig.projectors.astype(np.clongdouble))
+    A_ld = nt.KernelMatrix(A.window, A.entries.astype(np.longdouble))
+    extended = chain._transfer_states(model, A_ld, grid, eig_ld, 1, steps)
+    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(double, extended)) <= 1e-12
 
 
 # ------------------------------------------------------ pointer readout

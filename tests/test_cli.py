@@ -215,6 +215,20 @@ def test_evolve_walks_the_path_tree_once(tmp_path, monkeypatch):
     assert len(rows) == 8
 
 
+def _valid_evolve_states(path, rows_expected):
+    """The evolve.csv states, checked to be unit-trace, Hermitian and PSD."""
+    header, rows = _read_csv(path)
+    assert len(rows) == rows_expected
+    cols = [header.index(f"rho_{part}_{i}{j} (dimensionless)")
+            for i in range(2) for j in range(2) for part in ("re", "im")]
+    rhos = np.array([[float(row[c]) for c in cols] for row in rows])
+    rhos = (rhos[:, 0::2] + 1j * rhos[:, 1::2]).reshape(-1, 2, 2)
+    assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) <= 1e-12
+    assert np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1))) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(rhos)) >= -1e-12
+    return rhos
+
+
 def test_evolve_long_grid_with_finite_support_kernel(tmp_path, monkeypatch):
     # 1000 noncommuting steps (2^1000 histories) of a two-step kernel: the
     # memory-window transfer carries every row in one pass.
@@ -227,21 +241,28 @@ def test_evolve_long_grid_with_finite_support_kernel(tmp_path, monkeypatch):
     start = time.monotonic()
     assert _run(["evolve", "--config", cfg]) == 0
     assert time.monotonic() - start < 2.0
-    header, rows = _read_csv(out / "evolve.csv")
-    assert len(rows) == 1000
-    cols = [header.index(f"rho_{part}_{i}{j} (dimensionless)")
-            for i in range(2) for j in range(2) for part in ("re", "im")]
-    rhos = np.array([[float(row[c]) for c in cols] for row in rows])
-    rhos = (rhos[:, 0::2] + 1j * rhos[:, 1::2]).reshape(-1, 2, 2)
-    assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) <= 1e-12
-    assert np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1))) <= 1e-12
-    assert np.min(np.linalg.eigvalsh(rhos)) >= -1e-12
+    rhos = _valid_evolve_states(out / "evolve.csv", 1000)
     # The first 12 rows against the path sum on a 12-step grid.
     grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
     A = nt.build_kernel_matrix(cli._parse_kernel(kernel), grid)
     monkeypatch.setattr(chain, "BLOCK_BUDGET", 0)
     reference = nt.reduced_states(nt.default_qubit(), A, grid, 1.2)
     assert max(np.max(np.abs(rho - ref.matrix)) for rho, ref in zip(rhos, reference)) <= 1e-12
+
+
+def test_evolve_long_grid_at_strong_coupling(tmp_path):
+    # Coupling 10 sigma_z on 1000 steps: the whole-grid exponent bound would
+    # be 20^2 * 999 * 0.005 = 1998, but each step's corner of the kernel
+    # holds one entry, so the transfer's local bound is 20^2 * 0.005 = 2.
+    strong = {**_ZERO_COUPLING_MODEL,
+              "coupling": [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-10.0, 0.0]]]}
+    out = tmp_path / "out"
+    kernel = {"kind": "tabulated", "samples": [[0.0, 1.0], [0.1, 0.5], [0.2, 0.0]]}
+    cfg = _write_config(tmp_path / "cfg.json", model=strong, kernel=kernel,
+                        grid={"epsilon": 0.1, "n_steps": 1000},
+                        output={"directory": str(out), "format": "csv"})
+    assert _run(["evolve", "--config", cfg]) == 0
+    _valid_evolve_states(out / "evolve.csv", 1000)
 
 
 def test_evolve_strong_coupling(tmp_path):

@@ -104,3 +104,9 @@ def test_density_operator_validation():
 def test_from_matrix_degenerate_is_typed(matrix):
     with pytest.raises(nt.DegenerateState), np.errstate(invalid="ignore"):
         DensityOperator.from_matrix(matrix)
+
+
+def test_from_matrix_negative_eigenvalue_is_typed():
+    # Trace 1 and Hermitian, so only the eigenvalue check can refuse it.
+    with pytest.raises(nt.DegenerateState, match="negative eigenvalue"):
+        DensityOperator.from_matrix(np.diag([1.5, -0.5]))

@@ -225,13 +225,22 @@ def test_mean_readout_noncommuting_two_sided(default_model, A8, grid8):
 # ------------------------------------------------------- retarded readout
 
 
+def _final_conditional_expectations(model, A, grid, t, traj):
+    """Re <psi | d psi / d z_j> / |psi|^2 at the final time, with the
+    derivatives from readout_derivatives' own walk over the paths."""
+    psi = traj.final_state
+    dpsi = nt.readout_derivatives(model, A, grid, t, traj.record)
+    return (dpsi @ psi.conj()).real / np.vdot(psi, psi).real
+
+
 def test_retarded_single_step():
     model = _h0_dephasing()
     grid = nt.TimeGrid(epsilon=0.1, n_steps=1)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     rec = NoiseRecord(window=range(0, 1), values=[0.3])
     traj = nt.solve_unnormalized(model, A, grid, 0.1, rec)
-    expected = 2.0 * A.entries[0, 0] * traj.cond_expectations[0]
+    cond = _final_conditional_expectations(model, A, grid, 0.1, traj)
+    expected = 2.0 * A.entries[0, 0] * cond[0]
     assert traj.retarded[-1] == pytest.approx(expected, rel=1e-12)
 
 
@@ -240,7 +249,8 @@ def test_retarded_eigenstate_constant_history(A8, grid8):
                          initial_state=np.array([1.0, 0.0], dtype=complex))
     rec = nt.sample_readout_prior(A8, 1, seed=15)[0]
     traj = nt.solve_unnormalized(model, A8, grid8, 0.8, rec)
-    assert np.allclose(traj.cond_expectations, 1.0, atol=1e-12)
+    assert np.allclose(_final_conditional_expectations(model, A8, grid8, 0.8, traj), 1.0,
+                       atol=1e-12)
     expected = 2.0 * float(np.sum(A8.entries[-1, :]))
     assert traj.retarded[-1] == pytest.approx(expected, rel=1e-12)
 
@@ -261,7 +271,8 @@ def test_retarded_exponential_quadratures_agree_to_first_order():
         traj = nt.solve_unnormalized(model, A, grid, t, rec)
         discrete = traj.retarded[-1] / eps
         s = grid.times
-        integrand = rate * np.exp(-rate * (t - eps - s)) * traj.cond_expectations
+        cond = _final_conditional_expectations(model, A, grid, t, traj)
+        integrand = rate * np.exp(-rate * (t - eps - s)) * cond
         trapezoid = np.trapezoid(integrand, dx=eps)
         return abs(discrete - trapezoid)
 
