@@ -9,13 +9,17 @@ pair of eigenvalue histories, so all pointer Gaussian integrals can be done
 analytically and the chain becomes an exact finite computation.
 
 Every chain state is one double path sum over ket/bra history pairs, which
-``_conditional`` evaluates: a decoherence weight
-exp(-(Xa - Xb) . A (Xa - Xb) / 2) times, for a record of read pointers or
-readouts, a shifted-Gaussian likelihood ratio centered on (Xa + Xb) / 2.
-With nothing read it is the reduced (open-system) state.  For a kernel of
-finite bandwidth L, ``reduced_states`` may instead carry that sum forward
-exactly as a transfer over the last L ket/bra eigenvalue index pairs (the
-memory window); the path sum stays the reference route.
+``_conditional`` evaluates.  Pair (a, b), with D = Xa - Xb and S = Xa + Xb,
+has the exponent e_ab = -D.A.D/2 - S.M.S/2 + h.S: the decoherence weight
+of the window's kernel matrix A plus the log likelihood ratio of the read
+record z against its prior.  That ratio has M = G^T P G and h = G^T P z,
+with P the prior's precision and G the record's mean map per unit S (pair
+(a, b) shifts the record's mean to G S): G = A_{read, window} for a delayed
+readout, G = I/2 for raw pointers, and M = 0, h = 0 with nothing read (the
+reduced, open-system state).  For a kernel of finite bandwidth L,
+``reduced_states`` may instead carry that sum forward exactly as a transfer
+over the last L ket/bra eigenvalue index pairs (the memory window); the
+path sum stays the reference route.
 
 Conventions fixed here and mirrored bit-for-bit by the trajectory solver:
 within one step the free unitary acts first and the detector kick acts at
@@ -152,53 +156,58 @@ def _check_pairs(pairs: int) -> None:
             "reduce the step count or Hilbert dimension")
 
 
-def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray,
-                 density: GaussianDensity | None = None, centers: np.ndarray | None = None,
-                 values: np.ndarray | None = None) -> ConditionalState:
+def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray, M: np.ndarray,
+                 h: np.ndarray) -> tuple[DensityOperator, float]:
     """The one pair sum behind every path-sum chain state,
 
-        num = sum_ab exp(e_a + e_b + K_ab) |v_a><v_b|,   K_ab = left_a . right_b,
+        num = sum_ab exp(e_ab) |v_a><v_b|,   e_ab = -D.A_w.D/2 - S.M.S/2 + h.S,
 
-    over histories Xs with amplitudes ``amps``: the decoherence weight gives
-    e_a = -Xa.A_w.Xa/2 and K_ab = Xa.A_w.Xb.  With no density nothing is
-    read and num is the reduced state.  Otherwise ``centers[p]`` shifts the
-    read record's Gaussian for history p, and pair (a, b) also carries the
-    shifted likelihood ratio with shift centers[a] + centers[b], evaluated
-    through the density's precision solves so this route stays numerically
-    independent of the trajectory solver's direct exponents.
+    over histories Xs with amplitudes ``amps``; returns the normalized state
+    and log trace(num).  e_ab = e_a + e_b + Xa.C.Xb with
+    e_a = -Xa.(A_w + M).Xa/2 + h.Xa and C = A_w - M, and the cross term is
+    built one row chunk at a time, so no array spans all path pairs.
 
-    K is built one row chunk at a time, so no array spans all path pairs.
-    Each pair-weight matrix here is PSD (a rank-one factor times exp(Xa S Xb),
-    S = A or a Schur complement of A), so its largest entry is on the
-    diagonal and one global shift bounds every exponent; exponents past the
-    float range end in DegenerateState.
+    C is PSD: A_w when nothing is read; for a delayed readout (read block r,
+    unread block u of the window) the Schur complement
+    [[0, 0], [0, A_uu - A_ur A_rr^-1 A_ru]]; for raw pointers A_wu A_uu^-1 A_uw,
+    u the unread detectors past the window.  So the pair-weight matrix,
+    exp(e_a) exp(e_b) times the entrywise exponential of the Gram matrix
+    [Xa.C.Xb], is PSD (Schur product theorem), its largest entry is on its
+    diagonal, and one shift, the largest e_aa, bounds every exponent;
+    exponents past the float range end in DegenerateState.
     """
     p, d = amps.shape
     _check_pairs(p * p)
-    XA = Xs @ A_w
-    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA)
-    left, right = XA, Xs
-    if density is not None and density.dim:
-        u = density.precision_apply(values)
-        Z = density.precision_apply(centers.T).T
-        path_log = path_log + centers @ u - 0.5 * np.einsum("pk,pk->p", centers, Z)
-        # Cross term Xa.A.Xb - (Ca.Zb + Za.Cb) / 2 as one inner product.
-        left = np.hstack([XA, -0.5 * centers, -0.5 * Z])
-        right = np.hstack([Xs, Z, centers])
+    XA, XM = Xs @ A_w, Xs @ M
+    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA + XM) + Xs @ h
+    cross = XA - XM
     num = np.zeros((d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", left, right))) if p else 0.0
+        shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", cross, Xs))) if p else 0.0
         for lo in range(0, p, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, p)
-            W = np.exp(path_log[lo:hi, None] + path_log[None, :] + left[lo:hi] @ right.T - shift)
+            W = np.exp(path_log[lo:hi, None] + path_log[None, :] + cross[lo:hi] @ Xs.T - shift)
             num += amps[lo:hi].T @ (W @ amps.conj())
     trace = float(np.trace(num).real)
     if not 0.0 < trace < np.inf:
         raise DegenerateState(f"chain state has weight {trace}; the record values "
                               "are out of the range this path sum can represent")
-    log_prior = density.logpdf(values) if density is not None else 0.0
-    return ConditionalState(rho=DensityOperator.from_matrix(num),
-                            log_weight=log_prior + float(np.log(trace)) + shift)
+    return DensityOperator.from_matrix(num), float(np.log(trace)) + shift
+
+
+def _read_state(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
+                G: np.ndarray, values: np.ndarray) -> ConditionalState:
+    """The chain state conditioned on a read record z with prior ``density``
+    and mean map G (see the module docstring); log_weight is the record's
+    log density.  M = G^T P G and h = G^T P z come from the density's
+    precision solves, one right-hand side per window step, so this route
+    stays numerically independent of the trajectory solver's direct
+    exponents.  An empty read window gives M = 0 and h = 0 exactly.
+    """
+    M = G.T @ density.precision_apply(G)
+    h = G.T @ density.precision_apply(values)
+    rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences, A_w, M, h)
+    return ConditionalState(rho=rho, log_weight=density.logpdf(values) + log_trace)
 
 
 def _exponent_increment(row: np.ndarray, ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
@@ -355,7 +364,8 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     if work is not None and cost > work:
         return _transfer_states(model, A, grid, eig, band, steps)
     _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes))
-    return [_conditional(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(k))).rho
+    return [_conditional(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(k)),
+                         np.zeros((k, k)), np.zeros(k))[0]
             for k, (amps, hist) in enumerate(prefixes, 1)]
 
 
@@ -373,10 +383,9 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     if record.kind != "pointer" or record.window != window:
         raise ValueError("expected a pointer record on the window [0, t)")
     paths = build_paths(model, grid, window)
-    density = pointer_prior(A, window)
-    centers = 0.5 * paths.eigenvalue_sequences
-    return _conditional(paths.amplitudes, paths.eigenvalue_sequences, A.submatrix(window),
-                        density, centers, record.values)
+    # Pair (a, b) centers the read pointers on S / 2.
+    return _read_state(paths, A.submatrix(window), pointer_prior(A, window),
+                       0.5 * np.eye(len(window)), record.values)
 
 
 def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -401,10 +410,9 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     if record.kind != "readout" or record.window != read:
         raise ValueError("expected a readout record on the window [0, t - delay)")
     paths = build_paths(model, grid, window)
-    density = GaussianDensity(window=read, covariance=A.submatrix(read))
-    centers = paths.eigenvalue_sequences @ A.block(read, window).T
-    return _conditional(paths.amplitudes, paths.eigenvalue_sequences, A.submatrix(window),
-                        density, centers, record.values)
+    return _read_state(paths, A.submatrix(window),
+                       GaussianDensity(window=read, covariance=A.submatrix(read)),
+                       A.block(read, window), record.values)
 
 
 def vn_measure(detector: SingleDetector, model: ModelSpec, tau: float,

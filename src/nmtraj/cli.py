@@ -124,7 +124,6 @@ def _positive_number(obj, path: str) -> float:
 
 
 def _parse_kernel(block: dict):
-    _expect(isinstance(block, dict), "kernel", "expected an object")
     kind = block.get("kind")
     _expect(kind in ("exponential", "markov", "tabulated"), "kernel.kind",
             "expected one of exponential | markov | tabulated")
@@ -143,15 +142,23 @@ def _parse_kernel(block: dict):
         raise ConfigError(f"kernel.samples: {exc}") from None
 
 
+def _read_text(path: str, what: str) -> str:
+    """A UTF-8 text file's contents; a file that cannot be read or decoded
+    is a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read {what} (byte {exc.start} is not UTF-8)") from None
+
+
 def load_config(path: str | None, overrides: argparse.Namespace | None = None) -> RunConfig:
     """Load, default-fill, and validate a run configuration."""
     if path is None:
         raw = json.loads(json.dumps(DEFAULT_CONFIG))
     else:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from None
+        text = _read_text(path, "config")
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -159,21 +166,19 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         _expect(isinstance(raw, dict), "(root)", "expected a JSON object")
         for block, default in DEFAULT_CONFIG.items():
             raw.setdefault(block, json.loads(json.dumps(default)))
+    # Every block is an object before the overrides write into it.
+    for block in DEFAULT_CONFIG:
+        _expect(isinstance(raw[block], dict), block, "expected an object")
 
-    if overrides is not None:
-        if getattr(overrides, "seed", None) is not None:
-            raw["sampling"]["seed"] = overrides.seed
-        if getattr(overrides, "samples", None) is not None:
-            raw["sampling"]["n_samples"] = overrides.samples
-        if getattr(overrides, "out", None) is not None:
-            raw["output"]["directory"] = overrides.out
-        if getattr(overrides, "schedule", None) is not None:
-            raw["schedule"]["kind"] = overrides.schedule
-        if getattr(overrides, "delay", None) is not None:
-            raw["schedule"]["delay"] = overrides.delay
+    # Each flag's config block and field; a subcommand's namespace holds
+    # only the flags it parses.
+    for flag, block, key in (("seed", "sampling", "seed"), ("samples", "sampling", "n_samples"),
+                             ("out", "output", "directory"), ("schedule", "schedule", "kind"),
+                             ("delay", "schedule", "delay")):
+        if getattr(overrides, flag, None) is not None:
+            raw[block][key] = getattr(overrides, flag)
 
-    mblock = raw.get("model")
-    _expect(isinstance(mblock, dict), "model", "expected an object")
+    mblock = raw["model"]
     dim = mblock.get("dim")
     _expect(type(dim) is int and dim >= 2, "model.dim", "expected an integer >= 2")
     H = _parse_complex_matrix(mblock.get("hamiltonian"), "model.hamiltonian", dim)
@@ -184,10 +189,9 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
-    kernel = _parse_kernel(raw.get("kernel"))
+    kernel = _parse_kernel(raw["kernel"])
 
-    gblock = raw.get("grid")
-    _expect(isinstance(gblock, dict), "grid", "expected an object")
+    gblock = raw["grid"]
     eps = _positive_number(gblock.get("epsilon"), "grid.epsilon")
     n_steps = gblock.get("n_steps")
     _expect(type(n_steps) is int and n_steps >= 1, "grid.n_steps",
@@ -199,8 +203,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     _expect(math.isfinite(largest), "kernel", "expected kernel-matrix entries (epsilon^2 alpha, "
             "or epsilon g^2 for markov) within the floating-point range")
 
-    sblock = raw.get("schedule")
-    _expect(isinstance(sblock, dict), "schedule", "expected an object")
+    sblock = raw["schedule"]
     schedule = sblock.get("kind")
     _expect(schedule in _SCHEDULES, "schedule.kind",
             "expected one of " + " | ".join(_SCHEDULES))
@@ -226,8 +229,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     else:
         delay = 0.0
 
-    pblock = raw.get("sampling")
-    _expect(isinstance(pblock, dict), "sampling", "expected an object")
+    pblock = raw["sampling"]
     n_samples = pblock.get("n_samples")
     _expect(type(n_samples) is int and n_samples >= 1, "sampling.n_samples",
             "expected a positive integer")
@@ -235,8 +237,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     _expect(type(seed) is int and 0 <= seed < 2 ** 64, "sampling.seed",
             "expected an unsigned 64-bit integer")
 
-    oblock = raw.get("output")
-    _expect(isinstance(oblock, dict), "output", "expected an object")
+    oblock = raw["output"]
     directory = oblock.get("directory")
     _expect(isinstance(directory, str) and directory, "output.directory",
             "expected a non-empty string")
@@ -327,12 +328,8 @@ def cmd_evolve(config: RunConfig) -> list[Path]:
 
 
 def _load_record_values(path: str, expected: int) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read record ({exc.strerror})") from None
     values = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, "record").splitlines(), 1):
         if line.strip() and not (lineno == 1 and line.strip() == RECORD_HEADER):
             try:
                 values.append(float(line))

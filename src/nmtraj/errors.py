@@ -27,8 +27,8 @@ class KernelBudgetExceeded(NmtrajError):
 
 
 class SampleBudgetExceeded(NmtrajError):
-    """An ensemble's per-sample arrays would hold more floats than
-    SAMPLE_BUDGET."""
+    """An ensemble's weights, its one per-sample array, would hold more
+    floats than SAMPLE_BUDGET."""
 
 
 class DegenerateWeights(NmtrajError):

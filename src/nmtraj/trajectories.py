@@ -43,7 +43,7 @@ _MIN_EFFECTIVE_SAMPLES = 10.0
 #: Most path weights (records x paths) one evaluator block holds.
 _WEIGHT_BLOCK = 2 ** 20
 #: Most floats an ensemble keeps per sample, summed over its samples: its
-#: weight and the two readout-mean sides (1 GiB).
+#: weight (1 GiB).
 SAMPLE_BUDGET = 2 ** 27
 
 
@@ -251,16 +251,16 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     estimator's trace is 1 by construction.  The same weighted samples give
     the readout-mean law at the final step: the mean readout against the
     kernel-weighted mean of conditional coupling expectations.  Raises
-    SampleBudgetExceeded, before any allocation, when the per-sample arrays
-    would pass SAMPLE_BUDGET floats, and DegenerateWeights when the weight
-    sums leave the float range or the effective sample size drops below 10.
+    SampleBudgetExceeded, before any allocation, when the weights, the one
+    per-sample array, would pass SAMPLE_BUDGET floats, and DegenerateWeights
+    when the weight sums leave the float range or the effective sample size
+    drops below 10.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    stored = 3 * n_samples
-    if stored > SAMPLE_BUDGET:
+    if n_samples > SAMPLE_BUDGET:
         raise SampleBudgetExceeded(
-            f"{n_samples} samples keep {stored} floats, "
+            f"{n_samples} samples keep {n_samples} floats, one weight each, "
             f"over the sample budget {SAMPLE_BUDGET}; reduce the sample count")
     window = grid.window_before(t)
     A_w = A.submatrix(window)
@@ -270,27 +270,28 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
 
     rng = _generator(seed, _STREAM_ENSEMBLE)
     weights = np.empty(n_samples)
-    # The readout-mean law's two sides per sample, both times the weight:
-    # w z_{n-1} and c . 2 A_w[n-1, :].
-    lhs_w = np.empty(n_samples)
-    rhs_w = np.empty(n_samples)
     num = np.zeros((model.dim, model.dim), dtype=complex)
-    chunks = []  # per chunk, the centered sums its projectors' standard errors need
+    sides_sum = np.zeros(3)
+    chunks = []  # per chunk, the centered sums the standard errors need
     for lo in range(0, n_samples, _ENSEMBLE_CHUNK):
         hi = min(lo + _ENSEMBLE_CHUNK, n_samples)
         z = prior.sample(hi - lo, rng)
         psi, coupling = _evaluate(z, paths.eigenvalue_sequences, paths.amplitudes, A_w)
         w = np.einsum("si,si->s", psi, psi.conj()).real
         weights[lo:hi] = w
-        lhs_w[lo:hi] = w * z[:, -1]
-        rhs_w[lo:hi] = coupling @ last_row
-        part = psi.T @ psi.conj()
-        num += part
-        chunks.append(_centered_sums(w, np.einsum("si,sj->sij", psi, psi.conj()), part))
+        num += psi.T @ psi.conj()
+        # Per sample, the projector entries and the readout-mean law's sides,
+        # all times the weight: w z_{n-1}, c . 2 A_w[n-1, :] and their
+        # difference, which carries the comparison, so shared Monte Carlo
+        # fluctuations cancel and its standard error is that of the discrepancy.
+        estimated, predicted = w * z[:, -1], coupling @ last_row
+        sides = np.stack([estimated, predicted, estimated - predicted], axis=1)
+        sides_sum += np.sum(sides, axis=0)
+        projectors = np.einsum("si,sj->sij", psi, psi.conj()).reshape(hi - lo, -1)
+        chunks.append(_centered_sums(w, np.hstack([projectors, sides])))
 
-    scratch = np.square(weights)  # the one array beside the stored ones
     total = float(np.sum(weights))
-    total_sq = float(np.sum(scratch))
+    total_sq = sum(Q for *_, Q in chunks)
     if not (0.0 < total < np.inf and 0.0 < total_sq < np.inf):
         raise DegenerateWeights(
             f"importance weights sum to {total:.3e} with squares summing to {total_sq:.3e}; "
@@ -301,45 +302,33 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
             f"effective sample size {ess:.2f} below {_MIN_EFFECTIVE_SAMPLES}")
 
     rho = DensityOperator.from_matrix(num)
+    means = sides_sum / total
+    ratio = np.concatenate([rho.matrix.ravel(), means])
     # sum_s |u_s - w_s r|^2 over all samples from the chunks' centered sums:
     # u - w r = (u - w r_c) + w (r_c - r) within chunk c.  The sum is a sum of
     # squares, so a negative value is rounding around zero.
-    dev_sq = sum(S + 2.0 * (np.conj(r_c - rho.matrix) * T).real + np.abs(r_c - rho.matrix) ** 2 * Q
+    dev_sq = sum(S + 2.0 * (np.conj(r_c - ratio) * T).real + np.abs(r_c - ratio) ** 2 * Q
                  for r_c, S, T, Q in chunks)
-    rho_se = np.sqrt(np.maximum(dev_sq, 0.0)) / total
-    # The per-sample difference carries the comparison, so shared Monte Carlo
-    # fluctuations cancel and its standard error is that of the discrepancy.
-    # The sides are overwritten once read, the difference first.
-    means, ses = [], []
-    for side in (np.subtract(lhs_w, rhs_w, out=scratch), lhs_w, rhs_w):
-        means.append(float(np.sum(side) / total))
-        ses.append(_ratio_se(weights, side, means[-1], total))
+    ses = np.sqrt(np.maximum(dev_sq, 0.0)) / total
+    d2 = model.dim ** 2
     comparison = MeanReadoutComparison(
-        estimated=means[1], estimated_se=ses[1], predicted=means[2], predicted_se=ses[2],
-        difference=means[0], difference_se=ses[0])
+        estimated=float(means[0]), estimated_se=float(ses[d2]),
+        predicted=float(means[1]), predicted_se=float(ses[d2 + 1]),
+        difference=float(means[2]), difference_se=float(ses[d2 + 2]))
     return EnsembleEstimate(
-        n_samples=n_samples, seed=seed, rho=rho, rho_se=rho_se,
+        n_samples=n_samples, seed=seed, rho=rho, rho_se=ses[:d2].reshape(model.dim, model.dim),
         effective_sample_size=float(ess), mean_readout=comparison, sample_weights=weights)
 
 
-def _centered_sums(w: np.ndarray, u: np.ndarray, u_sum: np.ndarray):
-    """One chunk's ratio r_c = sum u / sum w of the weighted values u (one
-    d x d matrix per sample), with the sums centered on it that the
-    estimator's standard error needs: S_c = sum |u - w r_c|^2,
-    T_c = sum w (u - w r_c) and Q_c = sum w^2.  Centering on the chunk's
-    own ratio keeps the merge free of the cancellation raw moments suffer."""
+def _centered_sums(w: np.ndarray, u: np.ndarray):
+    """One chunk's ratios r_c = sum u / sum w of the weighted values u (one
+    row per sample, one column per estimated quantity), with the sums
+    centered on them that the estimator's standard errors need:
+    S_c = sum |u - w r_c|^2, T_c = sum w (u - w r_c) and Q_c = sum w^2.
+    Centering on the chunk's own ratios keeps the merge free of the
+    cancellation raw moments suffer."""
     w_sum = float(np.sum(w))
+    u_sum = np.sum(u, axis=0)
     r_c = u_sum / w_sum if w_sum > 0.0 else np.zeros_like(u_sum)
-    dev = u - w[:, None, None] * r_c
-    return (r_c, np.sum(np.abs(dev) ** 2, axis=0), np.einsum("s,sij->ij", w, dev),
-            float(np.sum(w * w)))
-
-
-def _ratio_se(weights: np.ndarray, weighted: np.ndarray, ratio: float, total: float) -> float:
-    """Linearized standard error of the ratio sum(w v) / sum(w) = ratio with
-    sum(w) = total, from the weighted values w v.  It overwrites them with
-    their squared deviations, in chunks, so no other array spans the samples."""
-    for lo in range(0, weighted.size, _ENSEMBLE_CHUNK):
-        weighted[lo:lo + _ENSEMBLE_CHUNK] -= weights[lo:lo + _ENSEMBLE_CHUNK] * ratio
-    np.square(weighted, out=weighted)
-    return float(np.sqrt(np.sum(weighted)) / total)
+    dev = u - w[:, None] * r_c
+    return r_c, np.sum(np.abs(dev) ** 2, axis=0), w @ dev, float(np.sum(w * w))

@@ -434,6 +434,91 @@ def test_pointer_state_mixed_for_noncommuting(default_model):
         assert state.rho.purity < 1.0 - 1e-6
 
 
+# ------------------------------------------------- pair exponent (A, M, h)
+
+
+def _pair_terms(state, monkeypatch):
+    """The (A_w, M, h) that one chain state hands the pair sum."""
+    seen = []
+    pair_sum = chain._conditional
+
+    def spying(amps, Xs, A_w, M, h):
+        seen.append((A_w, M, h))
+        return pair_sum(amps, Xs, A_w, M, h)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "_conditional", spying)
+        state()
+    (terms,) = seen
+    return terms
+
+
+def _eight_steps(kernel):
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=8)
+    kernel = nt.ExponentialKernel(rate=1.0) if kernel == "exponential" else _tab((0.5, 0.2, 0.0))
+    return grid, nt.build_kernel_matrix(kernel, grid)
+
+
+def _check_pair_terms(A_w, M, h, M_expected, h_expected):
+    scale = np.max(np.abs(A_w))
+    assert np.max(np.abs(M - M_expected)) <= 1e-12 * scale
+    assert np.max(np.abs(h - h_expected), initial=0.0) <= 1e-12 * np.max(np.abs(h_expected))
+    # A_w - M is PSD, which bounds every pair exponent by the diagonal ones.
+    C = A_w - M
+    assert np.linalg.eigvalsh(0.5 * (C + C.T))[0] >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("kernel", ["exponential", "tabulated"])
+@pytest.mark.parametrize("delay_steps", [0, 3, 8])
+def test_delayed_pair_terms_are_the_closed_form(kernel, delay_steps, default_model, monkeypatch):
+    # Read block r and unread block u of the window:
+    # M = [[A_rr, A_ru], [A_ur, A_ur A_rr^-1 A_ru]] and h = (z, A_ur A_rr^-1 z);
+    # with nothing read, M = 0 and h = 0 bit for bit, as for the reduced state.
+    grid, A = _eight_steps(kernel)
+    r = 8 - delay_steps
+    rec = NoiseRecord(window=range(r), values=np.random.default_rng(5).normal(0.0, 0.1, r))
+    A_w, M, h = _pair_terms(
+        lambda: nt.delayed_state(default_model, A, grid, 0.8, 0.1 * delay_steps, rec), monkeypatch)
+    assert np.array_equal(A_w, A.entries)
+    A_rr, A_ru, A_ur = A_w[:r, :r], A_w[:r, r:], A_w[r:, :r]
+    gain = np.linalg.solve(A_rr, np.hstack([A_ru, rec.values[:, None]]))  # A_rr^-1 [A_ru, z]
+    M_expected = np.block([[A_rr, A_ru], [A_ur, A_ur @ gain[:, :-1]]])
+    _check_pair_terms(A_w, M, h, M_expected, np.concatenate([rec.values, A_ur @ gain[:, -1]]))
+    if not r:
+        assert not np.any(M) and not np.any(h)
+
+
+@pytest.mark.parametrize("kernel", ["exponential", "tabulated"])
+@pytest.mark.parametrize("steps", [5, 8])
+def test_pointer_pair_terms_are_the_closed_form(kernel, steps, default_model, monkeypatch):
+    # Unread detectors u past the window w: M = A_ww - A_wu A_uu^-1 A_uw and
+    # h = 2 M x; at the grid's end nothing is unread and M = A_ww.
+    grid, A = _eight_steps(kernel)
+    x = nt.sample_pointer_prior(A, 1, seed=6)[0].values[:steps]
+    rec = NoiseRecord(window=range(steps), values=x, kind="pointer")
+    A_w, M, h = _pair_terms(
+        lambda: nt.conditional_state_pointer(default_model, A, grid, 0.1 * steps, rec),
+        monkeypatch)
+    assert np.array_equal(A_w, A.submatrix(range(steps)))
+    A_wu, A_uu = A.entries[:steps, steps:], A.entries[steps:, steps:]
+    M_expected = A_w - A_wu @ np.linalg.solve(A_uu, A_wu.T) if steps < 8 else A_w
+    _check_pair_terms(A_w, M, h, M_expected, 2.0 * M_expected @ x)
+
+
+def test_dephasing_readout_populations_on_a_long_grid():
+    # A dephasing qubit from |+> has two histories, all +1 and all -1, with
+    # equal amplitudes; at delay 0, h = z, so rho_00 = 1 / (1 + exp(-4 sum z))
+    # whatever M.  The 120-step exponential kernel has condition number 1.7e4,
+    # and the pair sum's precision solves must not amplify that into the state.
+    model = nt.dephasing_qubit(omega=0.7)
+    grid = nt.TimeGrid(epsilon=0.01, n_steps=120)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    for rec in nt.sample_readout_prior(A, 6, seed=7):
+        state = nt.delayed_state(model, A, grid, 1.2, 0.0, rec)
+        expected = 1.0 / (1.0 + np.exp(-4.0 * np.sum(rec.values)))
+        assert abs(state.rho.matrix[0, 0].real - expected) <= 5e-15
+
+
 # ------------------------------------------------------ readout records
 
 

@@ -490,6 +490,46 @@ def test_non_finite_config_numbers(tmp_path, capsys, blocks, extra, field):
     assert err.startswith(f"error: {field}: expected ") and "Traceback" not in err
 
 
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"grid": {"epsilon": 0.1, "n_steps": 8}, "output": "\xff"}')
+    return ["evolve", "--config", str(path)]
+
+
+def _non_utf8_record(tmp_path):
+    path = tmp_path / "record.txt"
+    path.write_bytes(b"0.1\n\xfe\n")
+    return ["detector", "--record-file", str(path), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("case", [
+    ("sampling", [1], ["ensemble", "--seed", "3"]),
+    ("output", "x", ["evolve", "--out", "OUT"]),
+    ("schedule", None, ["detector", "--delay", "0.1"]),
+    _non_utf8_config,
+    _non_utf8_record,
+], ids=["sampling-list", "output-string", "schedule-null", "non-utf8-config",
+        "non-utf8-record"])
+def test_malformed_inputs_are_config_errors(tmp_path, capsys, case):
+    # A block that is not an object must fail validation before a flag
+    # override writes into it, and an undecodable file is named.
+    if callable(case):
+        argv = case(tmp_path)
+    else:
+        block, value, argv = case
+        blocks = {"output": {"directory": str(tmp_path / "out"), "format": "csv"}}
+        blocks[block] = value
+        cfg = _write_config(tmp_path / "cfg.json", **blocks)
+        argv = [a.replace("OUT", str(tmp_path / "out")) for a in argv] + ["--config", cfg]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if not callable(case):
+        assert err.startswith(f"error: {case[0]}: expected an object")
+    else:
+        assert "is not UTF-8" in err and str(tmp_path) in err
+
+
 @pytest.mark.parametrize("argv, status", [
     (["evolve"], 0),
     (["trajectory"], 1),
@@ -589,8 +629,8 @@ def test_manifest_written(tmp_path):
 
 
 def test_ensemble_sample_budget_refuses_before_allocating(tmp_path, capsys):
-    # A trillion samples would keep 11e12 floats (the weight, two readout
-    # sides and a 2 x 2 complex projector each), about 80 TiB.
+    # A trillion samples would keep 1e12 floats (one weight each), about
+    # 7.3 TiB.
     import time
     start = time.monotonic()
     assert _run(["ensemble", "--samples", "1000000000000", "--out", str(tmp_path / "out")]) == 1
@@ -650,3 +690,14 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys):
         _run(["evolve", "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_readme_error_table_names_each_exported_error():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = text.split("| error | raised when |", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    exported = {name for name, obj in vars(nt).items()
+                if isinstance(obj, type) and issubclass(obj, nt.NmtrajError)
+                and obj is not nt.NmtrajError}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == exported

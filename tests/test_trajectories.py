@@ -156,9 +156,10 @@ def test_ensemble_memory_is_bounded_by_the_weight_block(default_model, steps):
     assert peak < 64 * 2 ** 20
 
 
-def test_ensemble_memory_grows_by_three_floats_per_sample(default_model):
-    # Per sample the ensemble keeps its weight and the two readout-mean sides;
-    # the projectors' standard errors come from per-chunk centered sums.
+def test_ensemble_memory_grows_by_one_float_per_sample(default_model):
+    # Per sample the ensemble keeps only its weight; the standard errors of
+    # the projectors and of the readout-mean sides come from per-chunk
+    # centered sums.
     import tracemalloc
     grid = nt.TimeGrid(epsilon=0.1, n_steps=3)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
@@ -171,11 +172,12 @@ def test_ensemble_memory_grows_by_three_floats_per_sample(default_model):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / (6 * 8192) <= 3.5 * 8
+    assert (peaks[1] - peaks[0]) / (6 * 8192) <= 1.5 * 8
 
 
 def test_ensemble_standard_errors_merge_chunks_exactly(default_model, A8, grid8):
-    # The chunk merge against the one-pass sum over every sample's projector.
+    # The chunk merge against the one-pass sums over every sample's projector
+    # and readout-mean sides.
     from nmtraj.noise import _generator, readout_prior
     from nmtraj.trajectories import _ENSEMBLE_CHUNK, _STREAM_ENSEMBLE, _evaluate
     n = 2 * _ENSEMBLE_CHUNK + 300
@@ -183,13 +185,22 @@ def test_ensemble_standard_errors_merge_chunks_exactly(default_model, A8, grid8)
     paths = nt.build_paths(default_model, grid8, grid8.full_window)
     rng = _generator(22, _STREAM_ENSEMBLE)
     prior = readout_prior(A8)
-    psi = np.concatenate([
-        _evaluate(prior.sample(min(_ENSEMBLE_CHUNK, n - lo), rng), paths.eigenvalue_sequences,
-                  paths.amplitudes, A8.entries)[0] for lo in range(0, n, _ENSEMBLE_CHUNK)])
+    z = np.concatenate([prior.sample(min(_ENSEMBLE_CHUNK, n - lo), rng)
+                        for lo in range(0, n, _ENSEMBLE_CHUNK)])
+    psi, coupling = _evaluate(z, paths.eigenvalue_sequences, paths.amplitudes, A8.entries)
     w = np.einsum("si,si->s", psi, psi.conj()).real
     dev = np.einsum("si,sj->sij", psi, psi.conj()) - w[:, None, None] * est.rho.matrix
     expected = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0)) / np.sum(w)
     assert np.max(np.abs(est.rho_se - expected)) <= 1e-12 * np.max(expected)
+    estimated, predicted = w * z[:, -1], coupling @ (2.0 * A8.entries[-1])
+    cmp = est.mean_readout
+    for side, mean, se in ((estimated, cmp.estimated, cmp.estimated_se),
+                           (predicted, cmp.predicted, cmp.predicted_se),
+                           (estimated - predicted, cmp.difference, cmp.difference_se)):
+        ratio = np.sum(side) / np.sum(w)
+        assert mean == pytest.approx(ratio, rel=1e-12, abs=1e-15)
+        assert se == pytest.approx(np.sqrt(np.sum((side - w * ratio) ** 2)) / np.sum(w),
+                                   rel=1e-12)
 
 
 # ------------------------------------------------------------ mean readout
