@@ -29,7 +29,6 @@ from .kernels import (
 from .noise import (
     GaussianDensity,
     NoiseRecord,
-    pointer_prior,
     readout_prior,
     sample_pointer_prior,
     sample_readout_prior,

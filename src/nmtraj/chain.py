@@ -12,11 +12,11 @@ Every chain state is one double path sum over ket/bra history pairs, which
 ``_conditional`` evaluates.  Pair (a, b), with D = Xa - Xb and S = Xa + Xb,
 has the exponent e_ab = -D.A.D/2 - S.M.S/2 + h.S: the decoherence weight
 of the window's kernel matrix A plus the log likelihood ratio of the read
-record z against its prior.  That ratio has M = G^T P G and h = G^T P z,
-with P the prior's precision and G the record's mean map per unit S (pair
-(a, b) shifts the record's mean to G S): G = A_{read, window} for a delayed
-readout, G = I/2 for raw pointers, and M = 0, h = 0 with nothing read (the
-reduced, open-system state).  For a kernel of finite bandwidth L,
+record against its prior: M = G^T P G and h = G^T P z for a delayed readout
+z, with P its prior's precision and G = A_{read, window} (pair (a, b) shifts
+its mean to G S); M = A_ww - A_wu A_uu^-1 A_uw and h = 2Mx for raw pointers x
+(u the unread detectors after the window w); M = 0 and h = 0 with nothing read
+(the reduced, open-system state).  For a kernel of finite bandwidth L,
 ``reduced_states`` may instead carry that sum forward exactly as a transfer
 over the last L ket/bra eigenvalue index pairs (the memory window); the
 path sum stays the reference route.
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateState, PathBudgetExceeded
-from .kernels import KernelMatrix, TimeGrid
-from .noise import GaussianDensity, NoiseRecord, pointer_prior
+from .errors import DegenerateState, PathBudgetExceeded, SingularWindow
+from .kernels import CONDITION_CAP, INVERSE_RTOL, KernelMatrix, TimeGrid
+from .noise import GaussianDensity, NoiseRecord
 from .quantum import (
     CouplingEigensystem,
     DensityOperator,
@@ -193,21 +193,6 @@ def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray, M: np.ndarra
         raise DegenerateState(f"chain state has weight {trace}; the record values "
                               "are out of the range this path sum can represent")
     return DensityOperator.from_matrix(num), float(np.log(trace)) + shift
-
-
-def _read_state(paths: PathEnsemble, A_w: np.ndarray, density: GaussianDensity,
-                G: np.ndarray, values: np.ndarray) -> ConditionalState:
-    """The chain state conditioned on a read record z with prior ``density``
-    and mean map G (see the module docstring); log_weight is the record's
-    log density.  M = G^T P G and h = G^T P z come from the density's
-    precision solves, one right-hand side per window step, so this route
-    stays numerically independent of the trajectory solver's direct
-    exponents.  An empty read window gives M = 0 and h = 0 exactly.
-    """
-    M = G.T @ density.precision_apply(G)
-    h = G.T @ density.precision_apply(values)
-    rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences, A_w, M, h)
-    return ConditionalState(rho=rho, log_weight=density.logpdf(values) + log_trace)
 
 
 def _exponent_increment(row: np.ndarray, ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
@@ -369,23 +354,54 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
             for k, (amps, hist) in enumerate(prefixes, 1)]
 
 
+def _guarded(window: range, block: np.ndarray) -> GaussianDensity:
+    """GaussianDensity of a k x k block B of the pointer state, or SingularWindow unless
+    cond(B) <= CONDITION_CAP (eigvalsh finds B's least eigenvalue lam to ~k u cond(B))
+    and the factor L has max |LL^T - B| < INVERSE_RTOL lam.  Then ||LL^T - B||_2 < d lam,
+    d = k INVERSE_RTOL: each solve or log det it serves is exact for a matrix within 1 +- d
+    of B in every direction, so log det S errs by at most k d / (1 - d), and a correction
+    step with an exact residual cuts a solve's error (A_uu norm) by d / (1 - d).
+    """
+    density = GaussianDensity(window, block)
+    eigs = np.linalg.eigvalsh(block)
+    lam = np.min(eigs, initial=np.inf)
+    cond = np.max(eigs, initial=0.0) / lam if lam > 0 else np.inf
+    if not (cond <= CONDITION_CAP and density.residual < INVERSE_RTOL * lam):
+        raise SingularWindow(f"a {len(window)}-step pointer block has condition number "
+                             f"{cond:.3e}; the guard needs at most {CONDITION_CAP:.0e} and a "
+                             f"factor residual under {INVERSE_RTOL:.0e} lam")
+    return density
+
+
 def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
                               record: NoiseRecord) -> ConditionalState:
-    """State conditioned on raw pointer values read over [0, t).
+    """State conditioned on raw pointers x read on the window w = [0, t).
 
-    The detectors in A.window beyond the readout window stay unread but
-    correlated, so the record's prior marginal carries the Schur-complement
-    covariance (A^{-1}/4 restricted) and the conditioned state is generically
-    mixed; it becomes pure only when those correlations vanish (memoryless
-    kernels, or a window covering all of A).
+    The detectors u after w stay unread but correlated, so the read pointers
+    have prior N(0, S^-1 / 4), S = A_ww - A_wu A_uu^-1 A_uw (A_ww if u is empty);
+    the pair terms are M = S and h = 2Sx, and the state is generically mixed.
+    y = 2Sx has prior N(0, S) and S^-1 y = 2x, so log p(x) = log N(y; 0, S) +
+    log det 2S = -x.y + (log det S - k log(pi/2)) / 2 needs no solve.  The gain
+    A_uu^-1 A_uw takes one correction step, and S and y are summed, in extended
+    precision, keeping the digits that cancel between A_ww and A_wu A_uu^-1 A_uw.
     """
     window = grid.window_before(t)
     if record.kind != "pointer" or record.window != window:
         raise ValueError("expected a pointer record on the window [0, t)")
+    unread = range(window.stop, A.window.stop)  # empty at the grid's end, where S = A_ww
+    A_w, A_uu, A_uw = A.submatrix(window), A.submatrix(unread), A.block(unread, window)
+    unread_density = _guarded(unread, A_uu)
+    gain = unread_density.precision_apply(A_uw).astype(np.longdouble)
+    gain += unread_density.precision_apply((A_uw - A_uu @ gain).astype(float))
+    S = (A_w - A_uw.T @ gain).astype(float)
+    density = _guarded(window, S)
+    y = 2.0 * (S.astype(np.longdouble) @ record.values)
+    log_prior = float(-(record.values @ y)) + 0.5 * (
+        density.log_det - len(window) * np.log(0.5 * np.pi))
     paths = build_paths(model, grid, window)
-    # Pair (a, b) centers the read pointers on S / 2.
-    return _read_state(paths, A.submatrix(window), pointer_prior(A, window),
-                       0.5 * np.eye(len(window)), record.values)
+    rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences, A_w, S,
+                                  y.astype(float))
+    return ConditionalState(rho=rho, log_weight=log_prior + log_trace)
 
 
 def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -395,12 +411,14 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     chain's one state conditioned on the kernel-smeared readout record.
 
     The record's prior marginal has covariance equal to the read-window
-    submatrix of A, and history pair (a, b) shifts it by
-    A_{read, window} (Xa + Xb).  With delay 0 the whole window is read and
-    the state is pure for every record; with delay t nothing is read and it
-    is the reduced state.  In between it equals the zero-delay state
-    averaged over the still-unread components under the full readout
-    density.  log_weight is the log readout density of the record.
+    submatrix of A, and history pair (a, b) shifts it by G (Xa + Xb) with
+    G = A_{read, window}.  With delay 0 the whole window is read and the
+    state is pure for every record; with delay t nothing is read and it is
+    the reduced state.  In between it equals the zero-delay state averaged
+    over the still-unread components under the full readout density.
+    log_weight is the log readout density of the record.  M = G^T P G and
+    h = G^T P z take one precision solve per window step, independent of the
+    trajectory solver's direct exponents; an empty read gives M = 0, h = 0.
     """
     grid.steps_of(delay)  # validates that the delay sits on the grid
     if delay < 0 or delay > t:
@@ -410,9 +428,12 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     if record.kind != "readout" or record.window != read:
         raise ValueError("expected a readout record on the window [0, t - delay)")
     paths = build_paths(model, grid, window)
-    return _read_state(paths, A.submatrix(window),
-                       GaussianDensity(window=read, covariance=A.submatrix(read)),
-                       A.block(read, window), record.values)
+    density = GaussianDensity(window=read, covariance=A.submatrix(read))
+    G = A.block(read, window)
+    M, h = G.T @ density.precision_apply(G), G.T @ density.precision_apply(record.values)
+    rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences,
+                                  A.submatrix(window), M, h)
+    return ConditionalState(rho=rho, log_weight=density.logpdf(record.values) + log_trace)
 
 
 def vn_measure(detector: SingleDetector, model: ModelSpec, tau: float,

@@ -123,6 +123,12 @@ def _positive_number(obj, path: str) -> float:
     return float(obj)
 
 
+def _whole_steps(time: float, eps: float, path: str) -> int:
+    steps = time / eps
+    _expect(abs(steps - round(steps)) < 1e-9, path, f"must be a multiple of grid.epsilon={eps}")
+    return round(steps)
+
+
 def _parse_kernel(block: dict):
     kind = block.get("kind")
     _expect(kind in ("exponential", "markov", "tabulated"), "kernel.kind",
@@ -211,21 +217,15 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     _expect(_finite(delay) and delay >= 0, "schedule.delay",
             "expected a finite non-negative number")
     delay = float(delay)
-    readout_time = sblock.get("t")
+    readout_time = sblock.get("t")  # checked in whole steps, as eps * n_steps may round up
+    read_steps = n_steps
     if readout_time is not None:
         readout_time = _positive_number(readout_time, "schedule.t")
-        steps = readout_time / eps
-        _expect(abs(steps - round(steps)) < 1e-9, "schedule.t",
-                f"must be a multiple of grid.epsilon={eps}")
-        _expect(readout_time <= eps * n_steps, "schedule.t",
-                "must not exceed the grid length")
+        read_steps = _whole_steps(readout_time, eps, "schedule.t")
+        _expect(read_steps <= n_steps, "schedule.t", "must not exceed the grid length")
     if schedule == "delayed":
-        steps = delay / eps
-        _expect(abs(steps - round(steps)) < 1e-9, "schedule.delay",
-                f"must be a multiple of grid.epsilon={eps}")
-        read_at = readout_time if readout_time is not None else eps * n_steps
-        _expect(delay < read_at, "schedule.delay",
-                f"must be smaller than the readout time {read_at} (schedule.t, else the run length)")
+        _expect(_whole_steps(delay, eps, "schedule.delay") < read_steps, "schedule.delay",
+                f"must be under the {read_steps}-step readout time (schedule.t, else run length)")
     else:
         delay = 0.0
 

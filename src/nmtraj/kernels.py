@@ -28,10 +28,10 @@ from .errors import KernelBudgetExceeded, NotPositiveDefinite
 #: Relative tolerance on the smallest eigenvalue of a kernel matrix.
 PSD_RTOL = 1e-12
 
-#: Condition-number cap for window inversions.
+#: Condition-number cap for the blocks the pointer state factors.
 CONDITION_CAP = 1e12
 
-#: Residual demanded of inverses and Cholesky reconstructions.
+#: Residual demanded of Cholesky reconstructions (see also chain._guarded).
 INVERSE_RTOL = 1e-10
 
 #: Most entries one kernel matrix may hold: a 4096-step window, 128 MiB.

@@ -8,9 +8,10 @@ Two families of Gaussians drive the detector chain:
   covariance A^{-1}/4.
 
 These are a Fourier pair; the linear map z = 2*A*x carries one into the
-other, Cov(z) = 4 A (A^{-1}/4) A = A.  Densities are always handled in
-log-space so the unnormalized prefactors of the underlying functionals
-cancel in every physical ratio.
+other, Cov(z) = 4 A (A^{-1}/4) A = A, and the density of x is that of 2Ax times
+det(2A); a pointer marginal is such a pair for the unread steps' Schur complement
+(chain.conditional_state_pointer).  Densities are always handled in log-space so
+the unnormalized prefactors of the underlying functionals cancel in every ratio.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularWindow
-from .kernels import CONDITION_CAP, INVERSE_RTOL, PSD_RTOL, KernelMatrix
+from .kernels import INVERSE_RTOL, PSD_RTOL, KernelMatrix
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -44,6 +45,7 @@ class GaussianDensity:
     singular positive-semidefinite covariance is factored with a diagonal
     jitter of PSD_RTOL times its spectral norm, so it can still be sampled,
     but its density and precision do not exist and raise SingularWindow.
+    ``residual`` is the factor's reconstruction error max |LL^T - covariance|.
     Every density here has mean zero; marginals keep the covariance
     submatrix.
     """
@@ -51,6 +53,7 @@ class GaussianDensity:
     window: range
     covariance: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
+    residual: float = field(init=False, repr=False)
     _log_norm: float = field(init=False, repr=False)
     _singular: bool = field(init=False, repr=False)
 
@@ -60,7 +63,7 @@ class GaussianDensity:
         if self.covariance.shape != (n, n):
             raise ValueError("covariance shape does not match the window")
         self._singular = False
-        self._log_norm = 0.0
+        self._log_norm = self.residual = 0.0
         if n == 0:
             self._chol = self.covariance.reshape(0, 0)
             return
@@ -76,7 +79,7 @@ class GaussianDensity:
                               if scale else np.zeros_like(self.covariance))
             except np.linalg.LinAlgError:
                 raise SingularWindow("covariance is not positive definite") from exc
-        resid = float(np.max(np.abs(self._chol @ self._chol.T - self.covariance)))
+        self.residual = resid = float(np.max(np.abs(self._chol @ self._chol.T - self.covariance)))
         if resid > INVERSE_RTOL * scale:
             raise SingularWindow(f"Cholesky reconstruction residual {resid:.3e} exceeds tolerance")
         if not self._singular:
@@ -89,6 +92,11 @@ class GaussianDensity:
     @property
     def dim(self) -> int:
         return len(self.window)
+
+    @property
+    def log_det(self) -> float:
+        self._require_definite()
+        return 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
 
     def logpdf(self, values: np.ndarray) -> float:
         self._require_definite()
@@ -142,35 +150,6 @@ class NoiseRecord:
 def readout_prior(A: KernelMatrix) -> GaussianDensity:
     """Zero-mean Gaussian over readout records with covariance A."""
     return GaussianDensity(window=A.window, covariance=A.entries)
-
-
-def pointer_prior(A: KernelMatrix, window: range) -> GaussianDensity:
-    """Zero-mean Gaussian over the pointer records read on ``window``.
-
-    The pointers over all of A.window have precision 4*A; the read ones
-    have the marginal covariance, the window block of A^{-1}/4, which is
-    factored once.  A^{-1} comes from the readout prior's precision solves.
-    Raises SingularWindow when A is not strictly positive definite, its
-    condition number exceeds CONDITION_CAP, or the inverse misses
-    INVERSE_RTOL.
-    """
-    n = A.size
-    if n:
-        eigs = np.linalg.eigvalsh(A.entries)
-        if eigs[0] <= 0.0:
-            raise SingularWindow(
-                f"window submatrix is not strictly positive definite (min eig {eigs[0]:.3e})")
-        cond = eigs[-1] / eigs[0]
-        if cond > CONDITION_CAP:
-            raise SingularWindow(
-                f"window submatrix condition number {cond:.3e} exceeds {CONDITION_CAP:.0e}")
-    inv = readout_prior(A).precision_apply(np.eye(n))
-    resid = float(np.max(np.abs(np.eye(n) - A.entries @ inv), initial=0.0))
-    if resid > INVERSE_RTOL:
-        raise SingularWindow(f"inverse residual {resid:.3e} exceeds {INVERSE_RTOL:.0e}")
-    # Symmetrized A^{-1}, times 1/4, restricted to the read window.
-    quarter_inverse = KernelMatrix(A.window, 0.125 * (inv + inv.T))
-    return GaussianDensity(window=window, covariance=quarter_inverse.submatrix(window))
 
 
 def sample_readout_prior(A: KernelMatrix, count: int, seed: int) -> list[NoiseRecord]:

@@ -306,8 +306,8 @@ def criterion_gaussian_machinery(seed: int, est_bundle) -> dict:
     probe = marginal.sample(10, rng)
     closure = max(abs(direct.logpdf(p) - marginal.logpdf(p)) for p in probe)
 
-    inv = marginal.precision_apply(np.eye(len(sub)))
-    resid = float(np.max(np.abs(A.submatrix(sub) @ inv - np.eye(len(sub)))))
+    solved = marginal.precision_apply(probe.T)  # residual per unit of right-hand side
+    resid = float(np.max(np.abs(A.submatrix(sub) @ solved - probe.T)) / np.max(np.abs(probe)))
 
     est = est_bundle[3]
     w = est.sample_weights

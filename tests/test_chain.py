@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,12 @@ def _plus():
 def _h0_dephasing():
     return nt.ModelSpec(dim=2, hamiltonian=np.zeros((2, 2)), coupling=nt.sigma_z(),
                         initial_state=_plus())
+
+
+def _pointer_reference(A, window):
+    """Reference pointer marginal, independent of the chain's Schur route: the
+    window block of the explicit inverse (A^-1 / 4)."""
+    return nt.GaussianDensity(window, 0.25 * np.linalg.inv(A.entries)[np.ix_(window, window)])
 
 
 def _gh_points(mean, cov, order):
@@ -376,7 +384,7 @@ def test_pointer_state_zero_coupling(zero_coupling_model, A8, grid8):
     U = np.linalg.matrix_power(nt.free_step(zero_coupling_model, 0.1), 4)
     expected = DensityOperator.from_state(U @ zero_coupling_model.initial_state)
     assert nt.trace_distance(state.rho, expected) <= 1e-12
-    prior = nt.pointer_prior(A8, window)
+    prior = _pointer_reference(A8, window)
     assert state.log_weight == pytest.approx(prior.logpdf(values), abs=1e-10)
 
 
@@ -410,7 +418,7 @@ def test_pointer_state_dephasing_two_branch_closed_form():
     rec = NoiseRecord(window=window, values=values, kind="pointer")
     state = nt.conditional_state_pointer(model, A, grid, 0.2, rec)
 
-    marginal = nt.pointer_prior(A, window)
+    marginal = _pointer_reference(A, window)
     like_up = np.exp(marginal.logpdf(values - 1.0))
     like_dn = np.exp(marginal.logpdf(values + 1.0))
     damp = np.exp(-2.0 * np.sum(A.submatrix(window)))
@@ -432,6 +440,65 @@ def test_pointer_state_mixed_for_noncommuting(default_model):
         sub = NoiseRecord(window=window, values=rec.values[:2], kind="pointer")
         state = nt.conditional_state_pointer(default_model, A, grid, 0.2, sub)
         assert state.rho.purity < 1.0 - 1e-6
+
+
+def _exact_dephasing_pointer_state(A, k, x):
+    """Exact (rational) reference for the dephasing qubit from |+>, whose two
+    histories are all +1 and all -1: the Schur complement S of the unread steps
+    by eliminating them one at a time, then e_++ and e_-- = -2 1.S.1 +- 4 1.S.x,
+    e_+- = -2 1.A_ww.1 and log p(x) = -2 x.S.x + log det(4S) / 2 - k log(2 pi) / 2.
+    Returns (log_weight, rho_00, |rho_01|)."""
+    M = [[Fraction(v) for v in row] for row in A.entries]
+    for j in range(A.size - 1, k - 1, -1):
+        for r in range(j):
+            f = M[r][j] / M[j][j]
+            M[r][:j] = [a - f * b for a, b in zip(M[r][:j], M[j][:j])]
+    S = [row[:k] for row in M[:k]]
+    xs = [Fraction(v) for v in x]
+    Sx = [sum(a * b for a, b in zip(row, xs)) for row in S]
+    det, D = Fraction(1), [row[:] for row in S]
+    for j in range(k):
+        det *= D[j][j]
+        for r in range(j + 1, k):
+            f = D[r][j] / D[j][j]
+            D[r] = [a - f * b for a, b in zip(D[r], D[j])]
+    log_det = math.log(det.numerator) - math.log(det.denominator)
+    log_p = (float(-2 * sum(a * b for a, b in zip(xs, Sx))) + k * math.log(2.0)
+             + 0.5 * log_det - 0.5 * k * math.log(2.0 * math.pi))
+    one_S_one, one_S_x = float(sum(map(sum, S))), float(sum(Sx))
+    e_pp, e_mm = -2.0 * one_S_one + 4.0 * one_S_x, -2.0 * one_S_one - 4.0 * one_S_x
+    e_pm = -2.0 * float(sum(Fraction(v) for v in A.entries[:k, :k].ravel()))
+    top = max(e_pp, e_mm)
+    trace = 0.5 * (math.exp(e_pp - top) + math.exp(e_mm - top))
+    return (log_p + top + math.log(trace), 1.0 / (1.0 + math.exp(e_mm - e_pp)),
+            0.5 * math.exp(e_pm - top) / trace)
+
+
+@pytest.mark.parametrize("t", [0.8, 1.2])
+@pytest.mark.parametrize("rate, accepted", [(1e-4, True), (1e-6, False)])
+def test_pointer_guard_on_a_nearly_singular_kernel(t, rate, accepted, monkeypatch):
+    # 12 steps of 0.1 at rate 1e-4 (cond A = 2.4e6) are within the guard, and
+    # match the exact state; at rate 1e-6 (cond A = 2.4e8) the unread block
+    # (t = 0.8) or S = A (t = 1.2) is refused before any path or pair sum.
+    model = nt.dephasing_qubit(omega=0.7)
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
+    k = grid.steps_of(t)
+    for seed in (1, 2, 3):
+        x = nt.sample_pointer_prior(A, 1, seed=seed)[0].values[:k]
+        rec = NoiseRecord(window=range(k), values=x, kind="pointer")
+        if not accepted:
+            with monkeypatch.context() as patch:
+                for name in ("build_paths", "_conditional"):
+                    patch.setattr(chain, name, lambda *_: pytest.fail("guard came too late"))
+                with pytest.raises(nt.SingularWindow, match="condition number"):
+                    nt.conditional_state_pointer(model, A, grid, t, rec)
+            continue
+        state = nt.conditional_state_pointer(model, A, grid, t, rec)
+        log_weight, rho_00, rho_01 = _exact_dephasing_pointer_state(A, k, x)
+        assert state.log_weight == pytest.approx(log_weight, rel=2e-13)
+        assert abs(state.rho.matrix[0, 0].real - rho_00) <= 1e-14
+        assert abs(abs(state.rho.matrix[0, 1]) - rho_01) <= 1e-14
 
 
 # ------------------------------------------------- pair exponent (A, M, h)
@@ -517,6 +584,17 @@ def test_dephasing_readout_populations_on_a_long_grid():
         state = nt.delayed_state(model, A, grid, 1.2, 0.0, rec)
         expected = 1.0 / (1.0 + np.exp(-4.0 * np.sum(rec.values)))
         assert abs(state.rho.matrix[0, 0].real - expected) <= 5e-15
+    # Raw pointers read to t = 0.96 have h = 2Sx, so rho_00 = 1 / (1 + exp(-8 sum Sx)),
+    # S the Schur complement of the 24 unread steps, here eliminated in long double.
+    S = A.entries.astype(np.longdouble)
+    for j in range(119, 95, -1):
+        S = S[:j, :j] - np.outer(S[:j, j], S[j, :j]) / S[j, j]
+    for seed in (7, 8, 9):
+        x = nt.sample_pointer_prior(A, 1, seed=seed)[0].values[:96]
+        state = nt.conditional_state_pointer(model, A, grid, 0.96,
+                                             NoiseRecord(range(96), x, kind="pointer"))
+        expected = float(1.0 / (1.0 + np.exp(-8.0 * np.sum(S @ x))))
+        assert abs(state.rho.matrix[0, 0].real - expected) <= 1e-15
 
 
 # ------------------------------------------------------ readout records
@@ -587,7 +665,7 @@ def test_pointer_unraveling_by_quadrature(default_model, steps):
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     t = 0.1 * steps
     window = grid.window_before(t)
-    marginal = nt.pointer_prior(A, window)
+    marginal = _pointer_reference(A, window)
     pts, wts = _gh_points(np.zeros(steps), marginal.covariance, order=20)
     acc = np.zeros((2, 2), dtype=complex)
     total = 0.0

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +388,32 @@ def test_delay_checked_against_readout_time(tmp_path, capsys):
     assert len(json.loads((out / "detector.json").read_text())["record"]) == 3
 
 
+@pytest.mark.parametrize("as_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("n_steps", [3, 4, 6, 7])
+def test_delay_of_the_whole_run_is_refused(tmp_path, capsys, n_steps, as_flag):
+    # 0.1 * n_steps rounds above the decimal n_steps / 10 at 3, 6 and 7 steps,
+    # so comparing times as floats let a delay of the whole run through there.
+    delay = round(0.1 * n_steps, 6)
+    schedule = {"kind": "delayed", "delay": 0.0 if as_flag else delay}
+    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": 0.1, "n_steps": n_steps},
+                        schedule=schedule, output={"directory": str(tmp_path / "out")})
+    argv = ["detector", "--config", cfg] + (["--delay", str(delay)] if as_flag else [])
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule.delay") and "Traceback" not in err
+    assert not (tmp_path / "out" / "detector.json").exists()
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only; importing scipy.linalg alone costs
+    # about a third of a second, more than a whole worker set-up.
+    code = "import sys, nmtraj.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(nt.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_singular_psd_kernel(tmp_path, capsys):
     # A constant tabulated kernel makes A rank one.  Records are still drawn
     # through the jittered factor; a conditioned state needs the density,
@@ -430,11 +459,11 @@ def test_ensemble_weights_out_of_float_range(tmp_path, capsys):
     assert not (tmp_path / "out" / "ensemble.json").exists()
 
 
-@pytest.mark.parametrize("record_file, windows", [(False, [12, 12, 8]), (True, [12, 8])])
+@pytest.mark.parametrize("record_file, windows", [(False, [12, 4, 8]), (True, [4, 8])])
 def test_x_readout_detector_factors_the_read_window_once(tmp_path, monkeypatch,
                                                         record_file, windows):
-    # The sampler and pointer_prior each factor A; the pointer prior is then
-    # built and factored on the read window only.
+    # The sampler factors A; the state factors the 4 unread steps' block and
+    # the Schur complement on the 8 read steps, and never A itself.
     made = []
     post_init = GaussianDensity.__post_init__
 

@@ -68,14 +68,6 @@ def test_marginal_closure_nested_windows(A8, grid8):
         assert abs(direct.logpdf(v) - marginal.logpdf(v)) <= 1e-10
 
 
-def test_pointer_mode_and_covariance(A8):
-    density = nt.pointer_prior(A8, A8.window)
-    expected_cov = 0.25 * np.linalg.inv(A8.entries)
-    assert np.allclose(density.covariance, expected_cov, atol=1e-12)
-    at_zero = density.logpdf(np.zeros(8))
-    assert all(density.logpdf(0.1 * np.eye(8)[k]) < at_zero for k in range(8))
-
-
 def test_pointer_sample_covariance_within_four_se(A8):
     n = 100_000
     records = nt.sample_pointer_prior(A8, n, seed=123)
@@ -86,14 +78,16 @@ def test_pointer_sample_covariance_within_four_se(A8):
     assert np.max(np.abs(cov_hat - target) / se) <= 4.0
 
 
-def test_change_of_variables_jacobian(A8):
+def test_change_of_variables_jacobian(A8, grid8, zero_coupling_model):
     # Mapping x -> 2 A x carries the pointer density onto the readout density
-    # up to the constant log-Jacobian log det(2A).
+    # up to the constant log-Jacobian log det(2A).  Without coupling the chain
+    # state's log weight is the pointer density of the full-window record.
     rng = np.random.default_rng(3)
     _, logdet = np.linalg.slogdet(2.0 * A8.entries)
     for _ in range(5):
         x = 0.5 * rng.standard_normal(8)
-        lhs = nt.pointer_prior(A8, A8.window).logpdf(x)
+        record = nt.NoiseRecord(window=A8.window, values=x, kind="pointer")
+        lhs = nt.conditional_state_pointer(zero_coupling_model, A8, grid8, 0.8, record).log_weight
         z = 2.0 * A8.entries @ x
         rhs = nt.readout_prior(A8).logpdf(z)
         assert lhs == pytest.approx(rhs + logdet, rel=1e-12)

@@ -146,26 +146,16 @@ def test_restricted_inverse_residual(A8):
         eye = np.eye(len(window))
         inv = nt.readout_prior(A8).marginal(window).precision_apply(eye)
         assert np.max(np.abs(A8.submatrix(window) @ inv - eye)) <= 1e-10
-        pointer = nt.pointer_prior(KernelMatrix(window, A8.submatrix(window)), window)
-        assert np.max(np.abs(4.0 * A8.submatrix(window) @ pointer.covariance - eye)) <= 1e-10
 
 
-def test_restricted_inverse_singular_window():
+def test_restricted_inverse_singular_window(default_model):
+    # Read over the full window, the pointer state factors A itself.
     entries = np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=2)
+    record = nt.NoiseRecord(window=range(0, 2), values=[0.1, -0.2], kind="pointer")
     with pytest.raises(SingularWindow, match="condition number"):
-        nt.pointer_prior(KernelMatrix(window=range(0, 2), entries=entries), range(0, 2))
-
-
-def test_pointer_prior_is_the_window_block(A8):
-    # Built on the read window, the pointer prior equals the marginal of the
-    # prior over all of A.window, bit for bit.
-    for window in (range(0, 0), range(0, 3), range(0, 8)):
-        direct = nt.pointer_prior(A8, window)
-        marginal = nt.pointer_prior(A8, A8.window).marginal(window)
-        assert direct.window == window
-        assert np.array_equal(direct.covariance, marginal.covariance)
-    with pytest.raises(ValueError, match="not contained"):
-        nt.pointer_prior(A8, range(0, 9))
+        nt.conditional_state_pointer(default_model, KernelMatrix(window=range(0, 2), entries=entries),
+                                     grid, 0.2, record)
 
 
 def test_cholesky_identity():
