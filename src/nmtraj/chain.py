@@ -16,10 +16,14 @@ record against its prior: M = G^T P G and h = G^T P z for a delayed readout
 z, with P its prior's precision and G = A_{read, window} (pair (a, b) shifts
 its mean to G S); M = A_ww - A_wu A_uu^-1 A_uw and h = 2Mx for raw pointers x
 (u the unread detectors after the window w); M = 0 and h = 0 with nothing read
-(the reduced, open-system state).  For a kernel of finite bandwidth L,
-``reduced_states`` may instead carry that sum forward exactly as a transfer
-over the last L ket/bra eigenvalue index pairs (the memory window); the
-path sum stays the reference route.
+(the reduced, open-system state).  ``reduced_states`` may instead carry
+that sum forward in time in one step loop with one of two memories: for a
+kernel of finite bandwidth L, exactly, over the last L ket/bra eigenvalue
+index pairs (the memory window); for an exponential kernel, whose matrix is
+AR(1), as Taylor levels in the pair's one scalar memory term, truncated at
+the least depth whose proved error bound is under 1e-14 (the discrete
+hierarchy of the hierarchical equations of motion).  The path sum stays the
+reference route.
 
 Conventions fixed here and mirrored bit-for-bit by the trajectory solver:
 within one step the free unitary acts first and the detector kick acts at
@@ -37,6 +41,8 @@ across workers and merge partial Hermitian sums in any associative order.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +74,24 @@ _PAIR_CHUNK = 1024
 
 #: Cap on the transfer's exponent bound B (see _transfer_work).
 _EXPONENT_CAP = 600.0
+
+#: Deepest Taylor level the hierarchy may carry (see _truncation_bounds).
+DEPTH_CAP = 40
+
+#: Trace-norm error the hierarchy's proved bound must keep every state under.
+_TRUNCATION_TOL = 1e-14
+
+#: Scales s * Dmax of the weighted level norm that _truncation_bounds tries;
+#: the best on the benchmark's kernels lie at 0.0125 to 0.4.
+_LEVEL_SCALES = 2.0 ** -np.arange(1, 8)
+
+_LEVELS = np.arange(DEPTH_CAP + 2)
+_LAG = _LEVELS[:, None] - _LEVELS[None, :]
+#: [1 / (i - j)!] on and below the diagonal, 0 above it.
+_INV_LAG_FACTORIAL = np.array([[1.0 / math.factorial(i - j) if i >= j else 0.0
+                                for j in _LEVELS] for i in _LEVELS])
+#: [C(i, j)], 0 above the diagonal.
+_BINOMIALS = np.array([[math.comb(i, j) for j in _LEVELS] for i in _LEVELS], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -270,18 +294,157 @@ def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
     return band, steps * blocks
 
 
-def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
-                     eig: CouplingEigensystem, band: int, steps: int) -> list[DensityOperator]:
-    """Reduced states after 1 .. steps steps by the memory-window transfer.
+def _shift(a: float, size: int) -> np.ndarray:
+    """Lower-triangular [a^(i-j) / (i-j)!] over levels 0 .. size - 1: row i
+    holds the coefficients of (y + a)^i / i! in the basis y^j / j!."""
+    return a ** np.maximum(_LAG[:size, :size], 0) * _INV_LAG_FACTORIAL[:size, :size]
 
-    The pair weight exp(-(Xa - Xb).A(Xa - Xb)/2) couples only steps at
-    most ``band`` apart, so the double path sum can be carried forward in
-    one d x d block per choice of ket and bra eigenvalue indices at the
-    last ``band`` steps (the window, oldest first).  Each step applies the
-    free unitary on both sides, splits every block by the step's projectors
-    P_a . P_b, multiplies by the step's exponent increment, and sums out the
-    index pair that leaves the window.  The sum of all blocks is the
-    unnormalized reduced state, the same double sum as the path route's.
+
+def _taylor_matrix(delta: float, c: float, r: float, size: int) -> np.ndarray:
+    """The hierarchy's step matrix T^delta on levels 0 .. size - 1: entry
+    (n, l) is the coefficient of y^l / l! in
+
+        exp(-c delta^2 / 2) r^n exp(-delta y) (y + c delta)^n / n!,
+
+    that is exp(-c delta^2 / 2) diag(r^n) B(c delta) X(-delta), with
+    B = _shift and X(b)_jl = C(l, j) b^(l-j) the product with exp(b y) in
+    the basis y^l / l!.  T^-delta = (-1)^(n+l) T^delta, and T^0 = diag(r^n).
+    """
+    expand = (_BINOMIALS[:size, :size] * (-delta) ** np.maximum(_LAG[:size, :size], 0)).T
+    return (np.exp(-0.5 * c * delta * delta) * r ** _LEVELS[:size, None]) * (
+        _shift(c * delta, size) @ expand)
+
+
+def _truncation_bounds(eig: CouplingEigensystem, A: KernelMatrix,
+                       steps: int) -> np.ndarray | None:
+    """Proved bound, for each depth N = 0 .. DEPTH_CAP, on the error that
+    truncating the Taylor hierarchy at level N leaves in any one history
+    pair's weight over ``steps`` steps; None when A has no AR(1) structure.
+
+    Notation (see _transfer_states).  A_ij = c r^|i-j| with 0 <= r <= 1.  A
+    pair of histories has eigenvalue differences D_k; its memory term is
+    y_0 = 0, y_(k+1) = r (y_k + c D_k), its weight after k steps is
+    w_k = exp(-D.A_k.D / 2) over the leading k x k block A_k, and its exact
+    levels are u_k^(n) = w_k y_k^n / n!.  A step with delta = D_k maps them
+    by the infinite matrix T^delta of _taylor_matrix; the hierarchy keeps
+    levels n, l <= N only.
+
+    1. Linearity.  The truncated matrix levels are the sums over pairs
+       (a, b) of the truncated scalar recursion run along the pair's D
+       sequence, times |v_a><v_b| with v_a the path amplitude.  So the
+       level-0 matrix errs by sum_ab e_ab |v_a><v_b|, whose trace norm is at
+       most max|e_ab| (sum_a ||v_a||)^2 <= P max|e_ab|, by Cauchy-Schwarz
+       with sum_a ||v_a||^2 = 1 (complete projectors, unitary steps) and P
+       the surviving path count, which never falls from step to step.
+    2. Exact levels.  A_k is PSD (AR(1) blocks are), so w_k <= 1; and
+       |y_k| <= Y = c Dmax sum_(j=1..steps-1) r^j for every step k < steps,
+       Dmax the spread of the coupling eigenvalues.  So |u^(l)| <= Y^l / l!.
+    3. Residual.  Step k takes the exact levels to the exact levels; the
+       truncated map misses tau^(n) = exp(-c delta^2/2) r^n w_k R(y_k), with
+       R the part of degree > N of exp(-delta y) (y + c delta)^n / n!.  The
+       coefficients of exp(|delta| y) (y + c |delta|)^n / n! dominate those
+       in modulus, so with x = |delta| Y
+           |tau^(n)| <= exp(-c delta^2/2) r^n
+                        sum_(i<=n) Y^i/i! (c|delta|)^(n-i)/(n-i)! E_(N-i)(x),
+       where E_m(x) = sum_(j>m) x^j/j! <= e^x x^(m+1)/(m+1)! (Lagrange).
+    4. Propagation.  The error vector e_k over levels 0 .. N starts at
+       e_0 = 0 (y_0 = 0 makes every level above 0 vanish) and obeys
+       e_(k+1) = T_N^delta e_k - tau_k.  In the norm |v|_s = max_n |v_n| / s^n
+       for any s > 0, |e_k|_s <= tau_s sum_(j<k) g_s^j, with tau_s the
+       largest |tau|_s over steps and differences and g_s the largest
+       induced norm max_n sum_(l<=N) |T_nl| s^(l-n) over the differences.
+       g_s >= 1, since T^0 = diag(r^n), so the sum grows with k and the
+       bound for k = steps covers every earlier step; |e^(0)| <= |e|_s.
+       Any s gives a bound: the least over the fixed scan
+       s = _LEVEL_SCALES / Dmax is returned.  (T^delta and T^-delta differ
+       only in the signs (-1)^(n+l), so |delta| > 0 suffices, and delta = 0
+       leaves tau = 0.)
+    5. Normalization.  tr of the exact level 0 is 1, so a level-0 error of
+       trace norm eta moves the normalized state by at most 2 eta / (1 - eta)
+       (see _path_capacity).
+
+    The bound covers truncation in exact arithmetic; rounding adds a few
+    ulps per step, as in the memory-window transfer.
+
+    The sums over a step's pairs and levels are products of fixed
+    (DEPTH_CAP + 1)-square matrices, so the bound takes O(m^2 DEPTH_CAP^3)
+    and never reads t.  Numbers past the float range end in an inf or nan
+    bound, which certifies nothing.
+    """
+    if A.ar1 is None:
+        return None
+    c, r = A.ar1
+    x = eig.eigenvalues.tolist()
+    gaps = sorted({abs(a - b) for a in x for b in x} - {0.0})  # the distinct |delta| > 0
+    size = DEPTH_CAP + 1
+    if not gaps:
+        return np.zeros(size)
+    upper = _LAG[:size, :size] <= 0  # [n, N]: n <= N
+    with np.errstate(all="ignore"):
+        Y = c * gaps[-1] * np.sum(r ** np.arange(1, steps))
+        weights = (_LEVEL_SCALES / gaps[-1])[:, None] ** _LEVELS[:size]  # [s, n] = s^n
+        tail_free = _shift(Y, size)[:, 0]  # Y^i / i!
+        tau = np.zeros((size, size))  # [n, N]
+        norm = np.ones((_LEVEL_SCALES.size, size))  # [s, N]
+        for delta in gaps:
+            T = np.abs(_taylor_matrix(delta, c, r, size))
+            rows = np.cumsum(T * weights[:, None, :], axis=2) / weights[:, :, None]
+            norm = np.maximum(norm, np.where(upper, rows, 0.0).max(axis=1))
+            xd = delta * Y
+            tail = _shift(xd, size + 1)[1:, :size].T  # [i, N] = xd^(N+1-i) / (N+1-i)!
+            res = (np.exp(xd - 0.5 * c * delta * delta) * r ** _LEVELS[:size, None]) * (
+                (_shift(c * delta, size) * tail_free) @ tail)
+            tau = np.maximum(tau, np.where(upper, res, 0.0))
+        tau_s = np.max(tau[None] / weights[:, :, None], axis=1)
+        log_norm = np.log(norm)
+        growth = np.where(log_norm > 0, np.expm1(steps * log_norm) / np.expm1(log_norm), steps)
+        return np.fmin.reduce(np.where(tau_s > 0, tau_s * growth, 0.0), axis=0)
+
+
+def _path_capacity(bounds: np.ndarray) -> list[float]:
+    """Entry N: the log of the path count below which some depth <= N keeps
+    every normalized state within _TRUNCATION_TOL in trace norm.  With P
+    surviving paths and eta = P bounds[N], the state moves by at most
+    2 eta / (1 - eta), under tol when eta < tol / (2 + tol); a nan bound
+    certifies nothing.  Nondecreasing, so _certified_depth bisects it.
+    """
+    with np.errstate(divide="ignore"):
+        need = math.log(_TRUNCATION_TOL / (2.0 + _TRUNCATION_TOL)) - np.log(bounds)
+    return np.maximum.accumulate(np.where(np.isnan(need), -np.inf, need)).tolist()
+
+
+def _certified_depth(capacity: list[float], log_paths: float) -> int | None:
+    """Least depth certified for exp(log_paths) surviving paths, or None when
+    no depth up to DEPTH_CAP is."""
+    depth = bisect.bisect_right(capacity, log_paths)
+    return depth if depth < len(capacity) else None
+
+
+def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
+                     eig: CouplingEigensystem, band: int, steps: int,
+                     depth: int | None = None) -> list[DensityOperator]:
+    """Reduced states after 1 .. steps steps, carrying the double path sum
+    forward in time in one of two memory representations.
+
+    Memory window (depth None).  The pair weight
+    exp(-(Xa - Xb).A(Xa - Xb)/2) couples only steps at most ``band`` apart,
+    so the sum can be carried in one d x d block per choice of ket and bra
+    eigenvalue indices at the last ``band`` steps (the window, oldest
+    first).  Each step multiplies every split block by the step's exponent
+    increment and sums out the index pair that leaves the window; the sum of
+    all blocks is the unnormalized reduced state.
+
+    Taylor levels 0 .. depth (A.ar1 = (c, r)).  For A_ij = c r^|i-j| a
+    pair's exponent gains -c delta^2/2 - delta y_k at step k, with delta
+    its eigenvalue difference there and y_(k+1) = r (y_k + c delta), so the
+    sum is carried as the levels rho^(n) = sum_pairs w y^n/n! |v_a><v_b|.
+    Each step maps pair (alpha, beta)'s split of the levels by the fixed
+    matrix T^(x_alpha - x_beta) of _taylor_matrix and sums the pairs;
+    rho^(0) is the unnormalized reduced state.  Levels above ``depth`` are
+    dropped, with the error bounded in _truncation_bounds.
+
+    Either way each step applies the free unitary on both sides and splits
+    every block by the step's projectors P_a . P_b in two matrix products.
     """
     U = free_step(model, grid.epsilon)
     m, d = eig.count, model.dim
@@ -289,23 +452,38 @@ def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     # unitary and split of every block are two matrix products.
     left = (eig.projectors @ U).reshape(m * d, d)
     right = (U.conj().T @ eig.projectors).transpose(1, 0, 2).reshape(d, m * d)
-    E = A.submatrix(range(steps))
-    psi = model.initial_state
-    blocks = np.outer(psi, psi.conj())[:, None, None, :]  # (d, ket window, bra window, d)
-    window = np.zeros((1, 0))  # eigenvalues along each window, oldest first
+    rho0 = np.outer(model.initial_state, model.initial_state.conj())
+    if depth is None:
+        E = A.submatrix(range(steps))
+        blocks = rho0[:, None, None, :]  # (d, ket window, bra window, d)
+        window = np.zeros((1, 0))  # eigenvalues along each window, oldest first
+    else:
+        size = depth + 1
+        x = eig.eigenvalues
+        # Column (alpha, beta, l) of row n holds T^(x_alpha - x_beta)_nl.
+        mixing = np.stack([_taylor_matrix(xa - xb, *A.ar1, size) for xa in x for xb in x],
+                          axis=1).reshape(size, m * m * size)
+        blocks = np.zeros((d, size, d), dtype=complex)  # (d, level, d)
+        blocks[:, 0] = rho0
     states = []
     for k in range(steps):
-        r, w = window.shape
-        split = (left @ blocks.reshape(d, -1)).reshape(-1, d) @ right
-        blocks = split.reshape(m, d, r, r, m, d).transpose(1, 2, 0, 3, 4, 5).reshape(
-            d, r * m, r * m, d)
-        window = np.hstack([np.repeat(window, m, axis=0),
-                            np.tile(eig.eigenvalues, r)[:, None]])
-        blocks *= np.exp(_exponent_increment(E[k, k - w:k + 1], window, window))[..., None]
-        if w == band:
-            blocks = blocks.reshape(d, m, r, m, r, d).sum(axis=(1, 3))
-            window = window[:r, 1:]
-        states.append(DensityOperator.from_matrix(blocks.sum(axis=(1, 2))))
+        split = ((left @ blocks.reshape(d, -1)).reshape(-1, d) @ right).reshape(m, d, -1, m, d)
+        if depth is None:
+            r, w = window.shape
+            blocks = split.reshape(m, d, r, r, m, d).transpose(1, 2, 0, 3, 4, 5).reshape(
+                d, r * m, r * m, d)
+            window = np.hstack([np.repeat(window, m, axis=0),
+                                np.tile(eig.eigenvalues, r)[:, None]])
+            blocks *= np.exp(_exponent_increment(E[k, k - w:k + 1], window, window))[..., None]
+            if w == band:
+                blocks = blocks.reshape(d, m, r, m, r, d).sum(axis=(1, 3))
+                window = window[:r, 1:]
+            rho = blocks.sum(axis=(1, 2))
+        else:
+            levels = mixing @ split.transpose(0, 3, 2, 1, 4).reshape(m * m * size, d * d)
+            blocks = levels.reshape(size, d, d).transpose(1, 0, 2)
+            rho = blocks[:, 0]
+        states.append(DensityOperator.from_matrix(rho))
     return states
 
 
@@ -316,38 +494,62 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
 
     Integrating out every pointer cancels the Gaussian prior and leaves the
     double path sum with decoherence weights exp(-(Xa - Xb).A(Xa - Xb)/2).
-    Two exact routes evaluate it: the one pair sum (_conditional, nothing
-    read) on every prefix of one walk over the history tree, and the
-    memory-window transfer (_transfer_states), which carries the sum forward
-    over the last L steps of a bandwidth-L kernel.  The transfer runs when
-    _transfer_work allows it and the path sum over the whole grid would cost
-    more than its steps * m^(2L+2) * d^2: the path sum costs
-    sum_k P_k^2 * k, since each of the P_k^2 pairs after k steps (P_k
+    Three routes evaluate it: the one pair sum (_conditional, nothing read)
+    on every prefix of one walk over the history tree, which is exact, and
+    _transfer_states, which carries the sum forward either over the last L
+    steps of a bandwidth-L kernel (exact; it may run when _transfer_work
+    allows it, at work n * m^(2L+2) * d^2) or, for an exponential kernel,
+    as Taylor levels 0 .. N (at work n * m^2 * (N+1)^2 * d^2, when some
+    N <= DEPTH_CAP is certified by _truncation_bounds for the surviving
+    paths and its (N+1) d^2 level entries fit BLOCK_BUDGET).  The path sum
+    costs sum_k P_k^2 * k, since each of the P_k^2 pairs after k steps (P_k
     surviving paths) also costs a k-long exponent row, and past the path
-    budget it cannot run.  The walk prices itself as it goes and stops once
-    it costs more.  The choice reads only the model and the whole-grid A,
-    never t, so every t takes the same route.
+    budget it cannot run.  N is first set for all m^n histories surviving.
+    When a transfer may run, the walk covers the whole grid, prices itself
+    as it goes and stops once it costs more than the cheaper transfer; after
+    k of the grid's n steps P_k m^(n-k) bounds the paths that survive the
+    grid, which may lower N.  The choice reads only the model, that walk
+    and the whole-grid A, never t, so every t takes the same route and
+    depth.
     """
     eig = eigendecompose_coupling(model)
     steps = len(grid.window_before(t))
-    band, work = _transfer_work(eig, A, model.dim, grid.n_steps)
+    n, m, d = grid.n_steps, eig.count, model.dim
+    band, band_work = _transfer_work(eig, A, d, n)
+    bounds = _truncation_bounds(eig, A, n)
+    # Only depths whose (N + 1) d^2 level entries fit the block budget.
+    capacity = [] if bounds is None else _path_capacity(bounds)[:BLOCK_BUDGET // (d * d)]
+
+    def cheaper(log_paths: float) -> tuple[int | None, int | None]:
+        """The depth of the levels (None for the window) and the work of the
+        cheaper transfer, for at most exp(log_paths) surviving paths."""
+        depth = _certified_depth(capacity, log_paths)
+        levels = None if depth is None else n * m * m * (depth + 1) ** 2 * d * d
+        if levels is not None and (band_work is None or levels < band_work):
+            return depth, levels
+        return None, band_work
+
+    depth, work = cheaper(n * math.log(m))  # every history surviving
     prefixes, cost = [], 0.0
     try:
         # The whole walk runs first, so both budgets are checked before any pair sum.
-        walk = _walk_paths(model, grid, steps if work is None else grid.n_steps, eig)
+        walk = _walk_paths(model, grid, steps if work is None else n, eig)
         next(walk)  # the empty history
         for k, (amps, hist) in enumerate(walk, 1):
             if k <= steps:
                 prefixes.append((amps, hist))
             cost += amps.shape[0] ** 2 * k
-            if work is not None and cost > work:
-                break
+            if work is not None:
+                # P_k m^(n-k) bounds the paths that survive the whole grid.
+                depth, work = cheaper(math.log(amps.shape[0]) + (n - k) * math.log(m))
+                if cost > work:
+                    break
     except PathBudgetExceeded:
         if work is None:
             raise
         cost = np.inf
     if work is not None and cost > work:
-        return _transfer_states(model, A, grid, eig, band, steps)
+        return _transfer_states(model, A, grid, eig, band, steps, depth)
     _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes))
     return [_conditional(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(k)),
                          np.zeros((k, k)), np.zeros(k))[0]

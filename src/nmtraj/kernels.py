@@ -135,10 +135,18 @@ class KernelMatrix:
     epsilon**2 * alpha(t_i - t_j); exact symmetry and (for stationary
     kernels) the Toeplitz property follow from building entries out of
     integer index differences.
+
+    ``ar1`` is the kernel's structure (c, r) when every entry is
+    c * r**|i - j| (an exponential kernel: c = epsilon**2 * rate / 2 and
+    r = exp(-rate * epsilon)), else None.  A pair's memory term is then one
+    scalar, which the chain's Taylor hierarchy carries in place of a window
+    of past steps; the structure comes from the kernel, never from the
+    entries.
     """
 
     window: range
     entries: np.ndarray
+    ar1: tuple[float, float] | None = None
 
     @property
     def size(self) -> int:
@@ -175,6 +183,7 @@ def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
             f"a {n}-step window needs {n * n} kernel entries, over the budget "
             f"{KERNEL_ENTRY_BUDGET}; reduce the step count")
     eps = grid.epsilon
+    ar1 = None
     if kernel.kind == "markov":
         entries = (eps * kernel.g ** 2) * np.eye(n)
     else:
@@ -182,6 +191,8 @@ def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
         # |i - j| keeps the matrix exactly symmetric and Toeplitz.
         lag = eps * np.abs(idx[:, None] - idx[None, :])
         entries = eps ** 2 * kernel.alpha(lag)
+        if kernel.kind == "exponential":
+            ar1 = (eps ** 2 * (0.5 * kernel.rate), float(np.exp(-kernel.rate * eps)))
     eigs = np.linalg.eigvalsh(entries)
     norm = float(np.max(np.abs(eigs)))
     min_eig = float(eigs[0])
@@ -189,4 +200,4 @@ def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
         raise NotPositiveDefinite(
             f"kernel matrix has eigenvalue {min_eig:.3e} below -{PSD_RTOL:.0e} * norm "
             f"({norm:.3e}); the kernel is not positive semidefinite")
-    return KernelMatrix(window=window, entries=entries)
+    return KernelMatrix(window=window, entries=entries, ar1=ar1)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -222,7 +223,8 @@ def _tab(values, eps=0.1):
 
 
 def _routed(model, A, grid, monkeypatch):
-    """Reduced states at every grid time and how many transfer runs made them."""
+    """Reduced states at every grid time and the arguments of the transfer runs
+    that made them."""
     runs = []
     transfer = chain._transfer_states
 
@@ -233,7 +235,7 @@ def _routed(model, A, grid, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(chain, "_transfer_states", counting)
         states = nt.reduced_states(model, A, grid, grid.n_steps * grid.epsilon)
-    return states, len(runs)
+    return states, runs
 
 
 def _path_sum(model, A, grid, monkeypatch):
@@ -274,21 +276,28 @@ def test_transfer_matches_the_path_sum(case, band, default_model, monkeypatch):
     assert chain._bandwidth(A.entries) == band
     routed, runs = _routed(model, A, grid, monkeypatch)
     path_sum = _path_sum(model, A, grid, monkeypatch)
-    assert runs == 1
+    assert len(runs) == 1
     assert len(routed) == len(path_sum) == steps
     for rho, ref in zip(routed, path_sum):
         assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-12
 
 
 @pytest.mark.parametrize("case, transfer", [
-    ("qubit-tab", True), ("qubit-exp", False), ("qutrit-exp", False),
-    ("long-exp", False), ("long-tab", True), ("long-7-step-support", False)])
+    ("qubit-tab", True), ("qubit-exp", True), ("qutrit-exp", True),
+    ("long-exp", False), ("long-tab", True), ("long-7-step-support", False),
+    ("dephasing-0.1", False), ("dephasing-0.05", False), ("dephasing-0.025", False),
+    ("3-sigma-z", False)])
 def test_route_choice(case, transfer, default_model, monkeypatch):
     # The routes of the benchmark's evolve configs, and a commuting qubit whose
     # seven-step kernel support fits the block budget but whose two paths make
     # the pair sum far cheaper than the transfer.  Under the two-step kernel
     # the commuting qubit's two paths cost sum_k 4k = 29040 on 120 steps, more
-    # than the transfer's 120 * 2^4 * 4 = 7680.
+    # than the transfer's 120 * 2^4 * 4 = 7680.  The noncommuting exponential
+    # kernels take the Taylor levels (a depth is passed) at depth 20 (qubit,
+    # 2048 paths) and 17 (qutrit, 2187); long-exp certifies no depth for all
+    # 2^120 histories, so its two paths keep the pair sum, as do those of
+    # verify's dephasing grids (t = 0.8), and 3 sigma_z on 10 steps certifies
+    # no depth at all.
     dephasing = nt.dephasing_qubit(omega=0.7)
     model, kernel, eps, steps = {
         "qubit-tab": (default_model, _tab((0.5, 0.2, 0.0)), 0.1, 11),
@@ -297,14 +306,38 @@ def test_route_choice(case, transfer, default_model, monkeypatch):
         "long-exp": (dephasing, nt.ExponentialKernel(rate=1.0), 0.01, 120),
         "long-tab": (dephasing, _tab((0.5, 0.2, 0.0), 0.01), 0.01, 120),
         "long-7-step-support": (dephasing, _tab(np.linspace(0.5, 0.05, 7), 0.01), 0.01, 120),
+        "dephasing-0.1": (nt.dephasing_qubit(), nt.ExponentialKernel(rate=1.0), 0.1, 8),
+        "dephasing-0.05": (nt.dephasing_qubit(), nt.ExponentialKernel(rate=1.0), 0.05, 16),
+        "dephasing-0.025": (nt.dephasing_qubit(), nt.ExponentialKernel(rate=1.0), 0.025, 32),
+        "3-sigma-z": (_qubit_coupled(3.0), nt.ExponentialKernel(rate=1.0), 0.1, 10),
     }[case]
     grid = nt.TimeGrid(epsilon=eps, n_steps=steps)
     A = nt.build_kernel_matrix(kernel, grid)
     if case == "long-7-step-support":
         eig = nt.eigendecompose_coupling(model)
         assert chain._transfer_work(eig, A, model.dim, steps) == (6, steps * 2 ** 14 * 4)
-    assert _routed(model, A, grid, monkeypatch)[1] == int(transfer)
+    runs = _routed(model, A, grid, monkeypatch)[1]
+    assert len(runs) == int(transfer)
+    depth = {"qubit-exp": 20, "qutrit-exp": 17}.get(case)
+    assert [args[-1] for args in runs] == ([depth] if transfer else [])
 
+
+def test_uncertified_grid_walks_only_to_t(default_model, monkeypatch):
+    # No depth is certified for the 2^40 histories of a 40-step qubit, and the
+    # memory window cannot hold its bandwidth, so no transfer may run and the
+    # walk stops at t instead of walking the grid to the path budget.
+    walks = []
+    walk = chain._walk_paths
+
+    def counting(*args):
+        walks.append(args[2])
+        return walk(*args)
+
+    monkeypatch.setattr(chain, "_walk_paths", counting)
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=40)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    states = nt.reduced_states(default_model, A, grid, 0.5)
+    assert walks == [5] and len(states) == 5
 
 def test_exponent_increments_sum_to_the_pair_exponent():
     rng = np.random.default_rng(4)
@@ -371,6 +404,161 @@ def test_transfer_matches_an_extended_precision_run(strength, steps, monkeypatch
     A_ld = nt.KernelMatrix(A.window, A.entries.astype(np.longdouble))
     extended = chain._transfer_states(model, A_ld, grid, eig_ld, 1, steps)
     assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(double, extended)) <= 1e-12
+
+
+# ------------------------------------------------- Taylor hierarchy (AR(1))
+
+
+def _bench_qutrit(seed=1):
+    """The exact-nc benchmark's qutrit at workload seed 1."""
+    rng = np.random.default_rng([seed, 3])
+    M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return nt.ModelSpec(dim=3, hamiltonian=0.5 * (M + M.conj().T),
+                        coupling=np.diag([-1.0, 0.0, 1.0]),
+                        initial_state=np.array([1.0, 0.0, 0.0], dtype=complex))
+
+
+def _levels(model, A, grid, depth):
+    eig = nt.eigendecompose_coupling(model)
+    return chain._transfer_states(model, A, grid, eig, 0, grid.n_steps, depth)
+
+
+def _depth_for(model, A, grid):
+    """Certified depth for every history surviving, m^n paths."""
+    eig = nt.eigendecompose_coupling(model)
+    capacity = chain._path_capacity(chain._truncation_bounds(eig, A, grid.n_steps))
+    return chain._certified_depth(capacity, grid.n_steps * np.log(eig.count))
+
+
+@pytest.mark.parametrize("case", ["rate-0.5", "rate-1", "rate-5", "qutrit", "degenerate",
+                                  "dephasing"])
+def test_taylor_levels_match_the_path_sum(case, default_model, monkeypatch):
+    model, rate, steps = {
+        "rate-0.5": (default_model, 0.5, 12),
+        "rate-1": (default_model, 1.0, 11),
+        "rate-5": (default_model, 5.0, 12),
+        "qutrit": (_bench_qutrit(), 1.0, 7),
+        "degenerate": (_degenerate_qutrit(), 1.0, 7),
+        "dephasing": (nt.dephasing_qubit(omega=0.7), 1.0, 12),
+    }[case]
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
+    routed, runs = _routed(model, A, grid, monkeypatch)
+    path_sum = _path_sum(model, A, grid, monkeypatch)
+    # The commuting qubit's two paths keep it on the path sum; the levels are
+    # run on it directly at the depth certified for all 2^12 histories.
+    assert len(runs) == int(case != "dephasing")
+    depth = _depth_for(model, A, grid)
+    assert depth is not None and [args[-1] for args in runs] in ([], [depth])
+    levels = _levels(model, A, grid, depth)
+    assert len(routed) == len(levels) == len(path_sum) == steps
+    for rho, forced, ref in zip(routed, levels, path_sum):
+        assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-12
+        assert np.max(np.abs(forced.matrix - ref.matrix)) <= 1e-12
+
+
+def _decimal_taylor(delta, c, r, size):
+    """T^delta of chain._taylor_matrix in the current decimal context."""
+    delta, c, r = Decimal(delta), Decimal(c), Decimal(r)
+    front = (-c * delta * delta / 2).exp()
+    T = np.empty((size, size), dtype=object)
+    for n in range(size):
+        for l in range(size):
+            T[n, l] = front * r ** n * sum(
+                math.comb(l, i) * (c * delta) ** (n - i) / math.factorial(n - i) * (-delta) ** (l - i)
+                for i in range(min(n, l) + 1))
+    return T
+
+
+@pytest.mark.parametrize("eps, rate", [(0.1, 1.0), (0.01, 1.0), (0.1, 5.0)])
+@pytest.mark.parametrize("steps", [11, 120])
+def test_truncation_bound_dominates_the_scalar_error(eps, rate, steps, default_model):
+    # One history pair of the sigma_z qubit (differences 0, +-2) run through
+    # the truncated scalar recursion in 120-digit arithmetic, against its exact
+    # weight exp(-D.A.D/2) with A_ij = c r^|i-j| in the same arithmetic; the
+    # bounds reach 1e-93 (N = 24, eps = 0.01, 11 steps).
+    grid = nt.TimeGrid(epsilon=eps, n_steps=steps)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
+    c, r = A.ar1
+    bounds = chain._truncation_bounds(nt.eigendecompose_coupling(default_model), A, steps)
+    top = 25
+    with localcontext() as ctx:
+        ctx.prec = 120
+        T = {d: _decimal_taylor(d, c, r, top) for d in (2.0, -2.0)}
+        _check_scalar_errors(T, c, r, steps, bounds, top)
+
+
+def _check_scalar_errors(T, c, r, steps, bounds, top):
+    for deltas in ([2.0] * steps, [-2.0] * steps, [2.0, -2.0] * (steps // 2) + [2.0] * (steps % 2)):
+        y, exponent = Decimal(0), Decimal(0)
+        for d in map(Decimal, deltas):
+            exponent -= Decimal(c) * d * d / 2 + d * y
+            y = Decimal(r) * (y + Decimal(c) * d)
+        exact = exponent.exp()
+        for N in range(4, top, 1 if steps < 100 else 2):  # every other depth on long runs
+            u = np.array([Decimal(1)] + [Decimal(0)] * N, dtype=object)
+            for d in deltas:
+                u = T[d][:N + 1, :N + 1].dot(u)
+            assert abs(u[0] - exact) <= Decimal(float(bounds[N]))
+
+
+def test_truncation_bound_dominates_the_matrix_error(default_model, monkeypatch):
+    # The 8-step default qubit at depths the bound does not certify, where the
+    # truncation error (1e-12 to 6e-8) stands above rounding: the normalized
+    # states stay within 2 eta / (1 - eta), eta = 2^8 bounds[N].
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=8)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    bounds = chain._truncation_bounds(nt.eigendecompose_coupling(default_model), A, 8)
+    path_sum = _path_sum(default_model, A, grid, monkeypatch)
+    for depth in (5, 6, 7, 8):
+        eta = 2 ** 8 * bounds[depth]
+        errors = [np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - ref.matrix)))
+                  for rho, ref in zip(_levels(default_model, A, grid, depth), path_sum)]
+        assert eta < 1 and 1e-13 < max(errors) <= 2 * eta / (1 - eta)
+
+
+def test_truncation_bound_refuses_the_tail_rule(default_model, monkeypatch):
+    # The tail rule |y|^(N+1)/(N+1)! < 1e-14 with |y| <= c Dmax r/(1 - r)
+    # picks N = 8 on the 11-step qubit, whose states are then off by ~5e-11:
+    # truncation errors grow over the kernel's memory.
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=11)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    c, r = A.ar1
+    y = 2.0 * c * r / (1.0 - r)
+    assert [N for N in range(chain.DEPTH_CAP) if y ** (N + 1) / math.factorial(N + 1) < 1e-14][0] == 8
+    eig = nt.eigendecompose_coupling(default_model)
+    bounds = chain._truncation_bounds(eig, A, 11)
+    assert 2 * 2 ** 11 * bounds[8] > 1e-14
+    assert _depth_for(default_model, A, grid) == 20
+    errors = [np.max(np.abs(rho.matrix - ref.matrix)) for rho, ref in
+              zip(_levels(default_model, A, grid, 8), _path_sum(default_model, A, grid, monkeypatch))]
+    assert max(errors) > 1e-11
+
+
+@pytest.mark.parametrize("case", ["10-sigma-z", "rate-1e-3", "rate-1e-3-long", "rate-1e3"])
+def test_truncation_bound_at_extreme_kernels(case, monkeypatch):
+    # pytest turns RuntimeWarnings into errors, so none of these may overflow
+    # or divide by zero out loud.  A strong coupling certifies no depth; a
+    # slow kernel (r -> 1) certifies a low one on a short grid and none on a
+    # long one; a fast kernel (r -> 0) leaves no memory, so depth 0.
+    model, rate, steps, depth = {
+        "10-sigma-z": (_qubit_coupled(10.0), 1.0, 8, None),
+        "rate-1e-3": (_qubit_coupled(1.0), 1e-3, 8, 5),
+        "rate-1e-3-long": (_qubit_coupled(1.0), 1e-3, 2000, None),
+        "rate-1e3": (_qubit_coupled(1.0), 1e3, 8, 0),
+    }[case]
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
+    eig = nt.eigendecompose_coupling(model)
+    bounds = chain._truncation_bounds(eig, A, steps)
+    assert bounds.shape == (chain.DEPTH_CAP + 1,)
+    assert chain._certified_depth(chain._path_capacity(bounds), steps * np.log(2)) == depth
+    assert np.all(np.isfinite(chain._taylor_matrix(20.0, *A.ar1, chain.DEPTH_CAP + 1)))
+    if steps <= 8:
+        routed, runs = _routed(model, A, grid, monkeypatch)
+        assert [args[-1] for args in runs] == ([] if depth is None else [depth])
+        for rho, ref in zip(routed, _path_sum(model, A, grid, monkeypatch)):
+            assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-12
 
 
 # ------------------------------------------------------ pointer readout

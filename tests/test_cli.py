@@ -253,6 +253,22 @@ def test_evolve_long_grid_with_finite_support_kernel(tmp_path, monkeypatch):
     assert max(np.max(np.abs(rho - ref.matrix)) for rho, ref in zip(rhos, reference)) <= 1e-12
 
 
+def test_evolve_past_the_pair_budget_on_an_exponential_kernel(tmp_path, monkeypatch):
+    # 16 noncommuting steps: the pair sums would pass the pair budget, and
+    # the Taylor hierarchy carries every row instead.
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": 0.1, "n_steps": 16},
+                        output={"directory": str(out), "format": "csv"})
+    assert _run(["evolve", "--config", cfg]) == 0
+    rhos = _valid_evolve_states(out / "evolve.csv", 16)
+    # The first 10 rows against the path sum on a 10-step grid.
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=10)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    monkeypatch.setattr(chain, "BLOCK_BUDGET", 0)
+    reference = nt.reduced_states(nt.default_qubit(), A, grid, 1.0)
+    assert max(np.max(np.abs(rho - ref.matrix)) for rho, ref in zip(rhos, reference)) <= 1e-12
+
+
 def test_evolve_long_grid_at_strong_coupling(tmp_path):
     # Coupling 10 sigma_z on 1000 steps: the whole-grid exponent bound would
     # be 20^2 * 999 * 0.005 = 1998, but each step's corner of the kernel
@@ -608,8 +624,13 @@ def test_kernel_budget_refuses_before_allocating(tmp_path, capsys, command):
 def test_pair_budget_refuses_before_the_pair_sum(tmp_path, capsys, command):
     # 16 noncommuting steps hold 2^16 paths, within the path budget; the
     # pair sums would evaluate 4^16 pair exponents in the last row alone.
+    # At coupling 3 sigma_z no Taylor depth is certified, so evolve has no
+    # other route.
     import time
-    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": 0.1, "n_steps": 16},
+    strong = {**_ZERO_COUPLING_MODEL,
+              "coupling": [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-3.0, 0.0]]]}
+    cfg = _write_config(tmp_path / "cfg.json", model=strong,
+                        grid={"epsilon": 0.1, "n_steps": 16},
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
     start = time.monotonic()
     assert _run([command, "--config", cfg]) == 1

@@ -205,3 +205,15 @@ def test_window_and_block_access(A8):
     assert blk[1, 0] == A8.entries[1, 5]
     with pytest.raises(ValueError):
         A8.submatrix(range(0, 9))
+
+
+def test_exponential_kernel_records_its_ar1_structure():
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=0.7), grid)
+    c, r = A.ar1
+    lag = np.abs(np.subtract.outer(np.arange(12), np.arange(12)))
+    assert np.max(np.abs(A.entries - c * r ** lag)) <= 1e-15 * c
+    assert A.ar1 == pytest.approx((0.0035, np.exp(-0.07)), rel=1e-15)
+    for kernel in (nt.MarkovDeltaKernel(g=1.0),
+                   nt.TabulatedKernel(lags=(0.0, 0.1), values=(1.0, 0.5))):
+        assert nt.build_kernel_matrix(kernel, grid).ar1 is None
