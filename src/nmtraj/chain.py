@@ -16,14 +16,20 @@ record against its prior: M = G^T P G and h = G^T P z for a delayed readout
 z, with P its prior's precision and G = A_{read, window} (pair (a, b) shifts
 its mean to G S); M = A_ww - A_wu A_uu^-1 A_uw and h = 2Mx for raw pointers x
 (u the unread detectors after the window w); M = 0 and h = 0 with nothing read
-(the reduced, open-system state).  ``reduced_states`` may instead carry
-that sum forward in time in one step loop with one of two memories: for a
-kernel of finite bandwidth L, exactly, over the last L ket/bra eigenvalue
-index pairs (the memory window); for an exponential kernel, whose matrix is
-AR(1), as Taylor levels in the pair's one scalar memory term, truncated at
-the least depth whose proved error bound is under 1e-14 (the discrete
-hierarchy of the hierarchical equations of motion).  The path sum stays the
-reference route.
+(the reduced, open-system state).  On the read steps of a delayed readout
+M = A and the exponent factorizes into ket x bra, so the sum first adds up
+the histories that agree on the unread steps and pairs only those groups:
+m^(2u) group pairs for m coupling levels and u unread steps, one at delay 0
+(a pure state), plus O(P k^2) for P histories over k steps.  Raw pointers
+and the reduced state couple every step and keep one group per history.
+
+``reduced_states`` may instead carry that sum forward in time in one step
+loop with one of two memories: for a kernel of finite bandwidth L, exactly,
+over the last L ket/bra eigenvalue index pairs (the memory window); for an
+exponential kernel, whose matrix is AR(1), as Taylor levels in the pair's
+one scalar memory term, truncated at the least depth whose proved error
+bound is under 1e-14 (the discrete hierarchy of the hierarchical equations
+of motion).  The path sum stays the reference route.
 
 Conventions fixed here and mirrored bit-for-bit by the trajectory solver:
 within one step the free unitary acts first and the detector kick acts at
@@ -32,7 +38,7 @@ the step's right endpoint; windows are left-endpoint, {k : t_k < t}.
 Path enumeration prunes branches whose amplitude is exactly zero (this is
 what keeps commuting models O(d) wide at any depth) and refuses, rather than
 truncates, when the surviving branch count would exceed PATH_BUDGET or the
-pair sums would evaluate more than PAIR_BUDGET pair exponents.
+pair sums would evaluate more than PAIR_BUDGET group-pair exponents.
 
 All values are immutable after construction; enumeration and pairwise
 accumulation are pure, so callers may partition the history index space
@@ -61,15 +67,18 @@ from .quantum import (
 #: Most surviving histories one walk may hold.
 PATH_BUDGET = 2 ** 20
 
-#: Most pair exponents one call may evaluate, summed over its pair sums.
+#: Most group-pair exponents one call may evaluate, summed over its pair sums.
 PAIR_BUDGET = 2 ** 30
 
 #: Most complex entries the memory-window transfer's block array may hold
 #: (16 MiB): m^(2(L+1)) d x d blocks for m coupling levels and bandwidth L.
 BLOCK_BUDGET = 2 ** 20
 
-#: Pair blocks are accumulated in row chunks of this many paths to bound
-#: peak memory at large path counts.
+#: Most negative finite float: the floor of every group's largest exponent.
+_FLOAT_MIN = float(np.finfo(float).min)
+
+#: Pair blocks are accumulated in row chunks of this many groups to bound
+#: peak memory at large group counts.
 _PAIR_CHUNK = 1024
 
 #: Cap on the transfer's exponent bound B (see _transfer_work).
@@ -181,37 +190,77 @@ def _check_pairs(pairs: int) -> None:
 
 
 def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray, M: np.ndarray,
-                 h: np.ndarray) -> tuple[DensityOperator, float]:
+                 h: np.ndarray, support: range) -> tuple[DensityOperator, float]:
     """The one pair sum behind every path-sum chain state,
 
         num = sum_ab exp(e_ab) |v_a><v_b|,   e_ab = -D.A_w.D/2 - S.M.S/2 + h.S,
 
     over histories Xs with amplitudes ``amps``; returns the normalized state
     and log trace(num).  e_ab = e_a + e_b + Xa.C.Xb with
-    e_a = -Xa.(A_w + M).Xa/2 + h.Xa and C = A_w - M, and the cross term is
-    built one row chunk at a time, so no array spans all path pairs.
+    e_a = -Xa.(A_w + M).Xa/2 + h.Xa and C = A_w - M.
 
-    C is PSD: A_w when nothing is read; for a delayed readout (read block r,
-    unread block u of the window) the Schur complement
-    [[0, 0], [0, A_uu - A_ur A_rr^-1 A_ru]]; for raw pointers A_wu A_uu^-1 A_uw,
-    u the unread detectors past the window.  So the pair-weight matrix,
-    exp(e_a) exp(e_b) times the entrywise exponential of the Gram matrix
-    [Xa.C.Xb], is PSD (Schur product theorem), its largest entry is on its
-    diagonal, and one shift, the largest e_aa, bounds every exponent;
-    exponents past the float range end in DegenerateState.
+    C is PSD and, by the caller's formulas, vanishes outside the steps
+    ``support``: for raw pointers it is A_wu A_uu^-1 A_uw, u the unread
+    detectors past the window, and with nothing read it is A_w (support:
+    the whole window); for a delayed readout (read block r, unread block u
+    of the window) it is the Schur complement
+    [[0, 0], [0, A_uu - A_ur A_rr^-1 A_ru]] (support: the unread steps,
+    none at delay 0).  So Xa.C.Xb = Ka.C_SS.Kb with K = X restricted to the
+    support, and histories that agree there (one group g) are summed first,
+
+        psi_g = sum_(a in g) exp(e_a - s_g) v_a,   s_g = max_(a in g) e_a,
+        num = sum_gg' exp(s_g + s_g' + K_g.C_SS.K_g') |psi_g><psi_g'|,
+
+    and the cross term is formed as K.A_SS - K.M_SS.  On the whole window
+    each history is its own group (K = X, s_a = e_a, psi_a = v_a), so there
+    the sum is the ungrouped one bit for bit.  It
+    takes m^(2u) group pairs for m coupling levels and u support steps,
+    plus O(P k^2) for the P histories' own exponents; the cross term is
+    built one row chunk at a time, so no array spans all group pairs.
+
+    One shift.  The group-pair weight matrix W_gg' = exp(s_g) exp(s_g')
+    exp(K_g.C_SS.K_g') is PSD: the first two factors form the rank-one
+    PSD matrix of the positive vector exp(s), the Gram matrix
+    [K_g.C_SS.K_g'] is PSD because C_SS, a principal block of C, is, and
+    its entrywise exponential, the sum of its entrywise powers over n!, is
+    PSD by the Schur product theorem, as is the entrywise product of the
+    two.  So |W_gg'| <= (W_gg W_g'g')^(1/2), the largest diagonal entry
+    bounds every pair, and one shift, the largest s_g + s_g + K_g.C_SS.K_g,
+    keeps every exponent at most 0; each exp(e_a - s_g) is at most 1 too.
+    A history whose exponent is -inf has weight 0 and adds nothing to its
+    group; a NaN or +inf exponent, or every one at -inf, ends in
+    DegenerateState before any group is summed.
     """
-    p, d = amps.shape
-    _check_pairs(p * p)
+    lo, hi = support.start, support.stop
+    if hi - lo < Xs.shape[1]:
+        K, group = np.unique(Xs[:, lo:hi], axis=0, return_inverse=True)
+        group = group.reshape(-1)
+    else:  # on the whole window distinct histories are distinct groups
+        K, group = Xs, np.arange(Xs.shape[0])
+    g, d = K.shape[0], amps.shape[1]
+    _check_pairs(g * g)
     XA, XM = Xs @ A_w, Xs @ M
     path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA + XM) + Xs @ h
-    cross = XA - XM
+    if not -np.inf < path_log.max() < np.inf:  # a NaN, a +inf, or every one at -inf
+        raise DegenerateState("a chain history has exponent outside the float range; the "
+                              "record values are out of the range this path sum can "
+                              "represent")
+    # A finite floor, so that a history at -inf, even in a group of them, gets
+    # exp(-inf - s_g) = 0 and adds nothing; finite exponents are all above it.
+    top = np.full(g, _FLOAT_MIN)
+    np.maximum.at(top, group, path_log)
+    psi = np.zeros((g, d), dtype=complex)
+    np.add.at(psi, group, np.exp(path_log - top[group])[:, None] * amps)
+    # On the whole window K is Xs and its products are the ones formed above.
+    KA, KM = (XA, XM) if K is Xs else (K @ A_w[lo:hi, lo:hi], K @ M[lo:hi, lo:hi])
+    cross = KA - KM
     num = np.zeros((d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = float(np.max(2.0 * path_log + np.einsum("pk,pk->p", cross, Xs))) if p else 0.0
-        for lo in range(0, p, _PAIR_CHUNK):
-            hi = min(lo + _PAIR_CHUNK, p)
-            W = np.exp(path_log[lo:hi, None] + path_log[None, :] + cross[lo:hi] @ Xs.T - shift)
-            num += amps[lo:hi].T @ (W @ amps.conj())
+        shift = float(np.max(2.0 * top + np.einsum("gk,gk->g", cross, K))) if g else 0.0
+        for row in range(0, g, _PAIR_CHUNK):
+            end = min(row + _PAIR_CHUNK, g)
+            W = np.exp(top[row:end, None] + top[None, :] + cross[row:end] @ K.T - shift)
+            num += psi[row:end].T @ (W @ psi.conj())
     trace = float(np.trace(num).real)
     if not 0.0 < trace < np.inf:
         raise DegenerateState(f"chain state has weight {trace}; the record values "
@@ -504,7 +553,10 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     paths and its (N+1) d^2 level entries fit BLOCK_BUDGET).  The path sum
     costs sum_k P_k^2 * k, since each of the P_k^2 pairs after k steps (P_k
     surviving paths) also costs a k-long exponent row, and past the path
-    budget it cannot run.  N is first set for all m^n histories surviving.
+    budget, or once sum_k P_k^2 up to t passes the pair budget, it cannot
+    run; the walk checks both as it goes, so a grid no route can run is
+    refused at the step the pair budget passes.  N is first set for all m^n
+    histories surviving.
     When a transfer may run, the walk covers the whole grid, prices itself
     as it goes and stops once it costs more than the cheaper transfer; after
     k of the grid's n steps P_k m^(n-k) bounds the paths that survive the
@@ -530,14 +582,16 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
         return None, band_work
 
     depth, work = cheaper(n * math.log(m))  # every history surviving
-    prefixes, cost = [], 0.0
+    prefixes, pairs, cost = [], 0, 0.0
     try:
-        # The whole walk runs first, so both budgets are checked before any pair sum.
+        # The walk checks both budgets as it goes, before any pair sum.
         walk = _walk_paths(model, grid, steps if work is None else n, eig)
         next(walk)  # the empty history
         for k, (amps, hist) in enumerate(walk, 1):
             if k <= steps:
                 prefixes.append((amps, hist))
+                pairs += amps.shape[0] ** 2
+                _check_pairs(pairs)
             cost += amps.shape[0] ** 2 * k
             if work is not None:
                 # P_k m^(n-k) bounds the paths that survive the whole grid.
@@ -550,9 +604,8 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
         cost = np.inf
     if work is not None and cost > work:
         return _transfer_states(model, A, grid, eig, band, steps, depth)
-    _check_pairs(sum(amps.shape[0] ** 2 for amps, _ in prefixes))
     return [_conditional(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(k)),
-                         np.zeros((k, k)), np.zeros(k))[0]
+                         np.zeros((k, k)), np.zeros(k), range(k))[0]
             for k, (amps, hist) in enumerate(prefixes, 1)]
 
 
@@ -602,7 +655,7 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
         density.log_det - len(window) * np.log(0.5 * np.pi))
     paths = build_paths(model, grid, window)
     rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences, A_w, S,
-                                  y.astype(float))
+                                  y.astype(float), range(len(window)))
     return ConditionalState(rho=rho, log_weight=log_prior + log_trace)
 
 
@@ -634,7 +687,7 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     G = A.block(read, window)
     M, h = G.T @ density.precision_apply(G), G.T @ density.precision_apply(record.values)
     rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences,
-                                  A.submatrix(window), M, h)
+                                  A.submatrix(window), M, h, range(len(read), len(window)))
     return ConditionalState(rho=rho, log_weight=density.logpdf(record.values) + log_trace)
 
 

@@ -16,7 +16,7 @@ class SingularWindow(NmtrajError):
 
 class PathBudgetExceeded(NmtrajError):
     """The projector path enumeration would exceed PATH_BUDGET histories, or
-    the pair sums PAIR_BUDGET pair exponents.
+    the pair sums PAIR_BUDGET group-pair exponents.
 
     Reduce the number of steps or the Hilbert dimension.
     """

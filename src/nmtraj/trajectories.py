@@ -40,8 +40,11 @@ from .chain import _walk_paths, build_paths
 _STREAM_ENSEMBLE = 0x45
 _ENSEMBLE_CHUNK = 8192
 _MIN_EFFECTIVE_SAMPLES = 10.0
-#: Most path weights (records x paths) one evaluator block holds.
-_WEIGHT_BLOCK = 2 ** 20
+#: Most path weights (records x paths) one evaluator block holds.  At 2^16
+#: a block's temporaries (0.5 MiB of weights, 1 MiB of complex overlaps) stay
+#: in cache and reuse the pages the previous block freed, where 2^20 weights
+#: (8 to 16 MiB per temporary) fault in fresh pages on every ensemble call.
+_WEIGHT_BLOCK = 2 ** 16
 #: Most floats an ensemble keeps per sample, summed over its samples: its
 #: weight (1 GiB).
 SAMPLE_BUDGET = 2 ** 27

@@ -104,20 +104,38 @@ def test_walk_budget_raises_before_branching(default_model, call, monkeypatch):
     assert peak < 4 * 2 ** 20
 
 
+def test_reduced_walk_refuses_at_the_pair_budget(default_model):
+    # 40 noncommuting steps on an exponential kernel: no Taylor depth is
+    # certified and the window transfer's blocks pass the block budget, so
+    # only the path sum could run.  Its pairs pass the pair budget at 2^15
+    # paths, where the walk refuses, short of the path budget's 2^20.
+    import time
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=40)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    start = time.monotonic()
+    with pytest.raises(PathBudgetExceeded, match="path pairs exceed the pair budget"):
+        nt.reduced_states(default_model, A, grid, 4.0)
+    assert time.monotonic() - start < 0.1
+
+
 def test_pair_sum_holds_no_full_pair_array(default_model):
     # 11 steps give 2048 paths, so one float array over all path pairs is
     # 32 MiB; the pair sum builds its exponents one row chunk at a time.
+    # At delay 0 the histories form one group; with nothing read (delay t)
+    # each history is its own group and all 2048^2 pairs are summed.
     grid = nt.TimeGrid(epsilon=0.1, n_steps=11)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     rec = nt.sample_readout_prior(A, 1, seed=3)[0]
-    tracemalloc.start()
-    try:
-        state = nt.delayed_state(default_model, A, grid, 1.1, 0.0, rec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert state.rho.purity == pytest.approx(1.0, abs=1e-10)
-    assert peak < 64 * 2 ** 20
+    for delay, record in ((0.0, rec), (1.1, NoiseRecord(window=range(0), values=np.zeros(0)))):
+        tracemalloc.start()
+        try:
+            state = nt.delayed_state(default_model, A, grid, 1.1, delay, record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if not delay:
+            assert state.rho.purity == pytest.approx(1.0, abs=1e-10)
+        assert peak < 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------- reduced
@@ -693,13 +711,13 @@ def test_pointer_guard_on_a_nearly_singular_kernel(t, rate, accepted, monkeypatc
 
 
 def _pair_terms(state, monkeypatch):
-    """The (A_w, M, h) that one chain state hands the pair sum."""
+    """The (A_w, M, h, support) that one chain state hands the pair sum."""
     seen = []
     pair_sum = chain._conditional
 
-    def spying(amps, Xs, A_w, M, h):
-        seen.append((A_w, M, h))
-        return pair_sum(amps, Xs, A_w, M, h)
+    def spying(amps, Xs, A_w, M, h, support):
+        seen.append((A_w, M, h, support))
+        return pair_sum(amps, Xs, A_w, M, h, support)
 
     with monkeypatch.context() as patch:
         patch.setattr(chain, "_conditional", spying)
@@ -732,9 +750,10 @@ def test_delayed_pair_terms_are_the_closed_form(kernel, delay_steps, default_mod
     grid, A = _eight_steps(kernel)
     r = 8 - delay_steps
     rec = NoiseRecord(window=range(r), values=np.random.default_rng(5).normal(0.0, 0.1, r))
-    A_w, M, h = _pair_terms(
+    A_w, M, h, support = _pair_terms(
         lambda: nt.delayed_state(default_model, A, grid, 0.8, 0.1 * delay_steps, rec), monkeypatch)
     assert np.array_equal(A_w, A.entries)
+    assert support == range(r, 8)  # C = A_w - M vanishes off the unread steps
     A_rr, A_ru, A_ur = A_w[:r, :r], A_w[:r, r:], A_w[r:, :r]
     gain = np.linalg.solve(A_rr, np.hstack([A_ru, rec.values[:, None]]))  # A_rr^-1 [A_ru, z]
     M_expected = np.block([[A_rr, A_ru], [A_ur, A_ur @ gain[:, :-1]]])
@@ -751,14 +770,96 @@ def test_pointer_pair_terms_are_the_closed_form(kernel, steps, default_model, mo
     grid, A = _eight_steps(kernel)
     x = nt.sample_pointer_prior(A, 1, seed=6)[0].values[:steps]
     rec = NoiseRecord(window=range(steps), values=x, kind="pointer")
-    A_w, M, h = _pair_terms(
+    A_w, M, h, support = _pair_terms(
         lambda: nt.conditional_state_pointer(default_model, A, grid, 0.1 * steps, rec),
         monkeypatch)
     assert np.array_equal(A_w, A.submatrix(range(steps)))
+    assert support == range(steps)
     A_wu, A_uu = A.entries[:steps, steps:], A.entries[steps:, steps:]
     M_expected = A_w - A_wu @ np.linalg.solve(A_uu, A_wu.T) if steps < 8 else A_w
     _check_pair_terms(A_w, M, h, M_expected, 2.0 * M_expected @ x)
 
+
+
+# ------------------------------------------------------ grouped pair sum
+
+
+def _dense_delayed_state(model, A, grid, t, delay, rec):
+    """Reference delayed state: every history pair of the window, with the
+    dense C = A_w - M, no entry of it assumed zero, and M, h from solves."""
+    window, read = grid.window_before(t), grid.window_before(t - delay)
+    paths = nt.build_paths(model, grid, window)
+    X, v = paths.eigenvalue_sequences, paths.amplitudes
+    A_w, A_rr, G = A.submatrix(window), A.submatrix(read), A.block(read, window)
+    gain = np.linalg.solve(A_rr, np.hstack([G, rec.values[:, None]]))  # A_rr^-1 [G, z]
+    M, h = G.T @ gain[:, :-1], G.T @ gain[:, -1]
+    e = -0.5 * np.einsum("pk,pk->p", X, X @ (A_w + M)) + X @ h
+    E = e[:, None] + e[None, :] + X @ (A_w - M) @ X.T
+    shift = np.max(E)
+    num = v.T @ np.exp(E - shift) @ v.conj()
+    trace = np.trace(num).real
+    log_prior = -0.5 * (rec.values @ gain[:, -1] + np.linalg.slogdet(2.0 * np.pi * A_rr)[1])
+    return num / trace, np.log(trace) + shift + log_prior
+
+
+@pytest.mark.parametrize("case", ["exponential", "tab-L1", "tab-L2", "qutrit", "degenerate",
+                                  "3-sigma-z"])
+def test_grouped_pair_sum_matches_the_dense_pair_sum(case, default_model):
+    # Delays of 0, 1 and 2 steps, an interior one and t: the grouped sum over
+    # the unread steps against every history pair, at purity 1 for delay 0.
+    model, kernel, steps = {
+        "exponential": (default_model, nt.ExponentialKernel(rate=1.0), 8),
+        "tab-L1": (default_model, _tab((0.5, 0.2, 0.0)), 8),
+        "tab-L2": (default_model, _tab((0.5, 0.3, 0.1, 0.0)), 8),
+        "qutrit": (_qutrit_setup()[0], nt.ExponentialKernel(rate=1.0), 6),
+        "degenerate": (_degenerate_qutrit(), _tab((0.5, 0.3, 0.1, 0.0)), 6),
+        "3-sigma-z": (_qubit_coupled(3.0), nt.ExponentialKernel(rate=1.0), 8),
+    }[case]
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+    A = nt.build_kernel_matrix(kernel, grid)
+    t = grid.n_steps * grid.epsilon
+    z = nt.sample_readout_prior(A, 1, seed=13)[0].values
+    for delay_steps in (0, 1, 2, steps // 2 + 1, steps):
+        rec = NoiseRecord(window=range(steps - delay_steps), values=z[:steps - delay_steps])
+        state = nt.delayed_state(model, A, grid, t, delay_steps * grid.epsilon, rec)
+        rho, log_weight = _dense_delayed_state(model, A, grid, t, delay_steps * grid.epsilon, rec)
+        assert np.max(np.abs(state.rho.matrix - rho)) <= 1e-12
+        assert state.log_weight == pytest.approx(log_weight, rel=1e-12)
+        if not delay_steps:
+            assert state.rho.purity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pair_sum_counts_group_pairs(default_model, monkeypatch):
+    # m^(2u) group pairs for u unread steps: 1 at delay 0; raw pointers and
+    # the reduced state's path-sum route couple every step, so P^2.  The
+    # reduced route's walk first checks its running sum of P_k^2.
+    checked = []
+    check = chain._check_pairs
+
+    def counting(pairs):
+        checked.append(pairs)
+        check(pairs)
+
+    monkeypatch.setattr(chain, "_check_pairs", counting)
+    grid, A = _eight_steps("exponential")
+    z = nt.sample_readout_prior(A, 1, seed=14)[0].values
+    qutrit, grid6, A6 = _qutrit_setup()
+    for model, grid_m, A_m, m in ((default_model, grid, A, 2), (qutrit, grid6, A6, 3)):
+        n = grid_m.n_steps
+        for u in (0, 1, 2, n):
+            checked.clear()
+            rec = NoiseRecord(window=range(n - u), values=z[:n - u])
+            nt.delayed_state(model, A_m, grid_m, 0.1 * n, 0.1 * u, rec)
+            assert checked == [m ** (2 * u)]
+    checked.clear()
+    x = nt.sample_pointer_prior(A, 1, seed=14)[0].values[:6]
+    nt.conditional_state_pointer(default_model, A, grid, 0.6,
+                                 NoiseRecord(window=range(6), values=x, kind="pointer"))
+    assert checked == [4 ** 6]
+    checked.clear()
+    _path_sum(default_model, A, grid, monkeypatch)
+    assert checked == [sum(4 ** j for j in range(1, k + 1)) for k in range(1, 9)] + [
+        4 ** k for k in range(1, 9)]
 
 def test_dephasing_readout_populations_on_a_long_grid():
     # A dephasing qubit from |+> has two histories, all +1 and all -1, with

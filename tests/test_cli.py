@@ -579,7 +579,7 @@ def test_malformed_inputs_are_config_errors(tmp_path, capsys, case):
     (["evolve"], 0),
     (["trajectory"], 1),
     (["ensemble", "--samples", "200"], 1),
-    (["detector"], 1),
+    (["detector"], 0),
     (["detector", "--schedule", "x-readout"], 0),
 ], ids=["evolve", "trajectory", "ensemble", "detector", "detector-x-readout"])
 def test_huge_kernel_rate_is_typed(tmp_path, capsys, argv, status):
@@ -587,7 +587,9 @@ def test_huge_kernel_rate_is_typed(tmp_path, capsys, argv, status):
     # the float range: a typed error or a valid state, and no RuntimeWarning
     # (which this suite turns into an exception) on the way.  The kernel
     # matrix is diagonal, so evolve takes the memory-window transfer, where
-    # each step's coherence factor exp(-A_kk D^2 / 2) is exactly 0.
+    # each step's coherence factor exp(-A_kk D^2 / 2) is exactly 0.  The
+    # zero-delay detector sums every history into one pure group, whose
+    # state needs no pair cross term.
     cfg = _write_config(tmp_path / "cfg.json", kernel={"kind": "exponential", "lambda": 1e300},
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
     assert _run([*argv, "--config", cfg]) == status
@@ -605,6 +607,47 @@ def test_huge_kernel_rate_is_typed(tmp_path, capsys, argv, status):
     else:
         report = json.loads((tmp_path / "out" / "detector.json").read_text())
         assert 0.0 < report["purity"] <= 1.0 + 1e-12
+        if argv == ["detector"]:
+            assert report["purity"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("schedule", [{"kind": "zero-delay"}, {"kind": "delayed", "delay": 2.0}],
+                         ids=["zero-delay", "delayed"])
+def test_overflowing_histories_add_nothing(tmp_path, capsys, monkeypatch, schedule):
+    # A qutrit coupling with a zero eigenvalue at a kernel rate near the float
+    # limit on a unit grid: histories with enough nonzero steps have exponent
+    # -inf (weight 0) while those mostly at the zero eigenvalue stay finite.
+    # The -inf histories add nothing; the state is still a valid one.
+    exponents = []
+    conditional = chain._conditional
+
+    def spy(amps, Xs, A_w, M, h, support):
+        XA, XM = Xs @ A_w, Xs @ M
+        exponents.append(-0.5 * np.einsum("pk,pk->p", Xs, XA + XM) + Xs @ h)
+        return conditional(amps, Xs, A_w, M, h, support)
+
+    monkeypatch.setattr(chain, "_conditional", spy)
+    model = {"dim": 3,
+             "hamiltonian": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                             [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                             [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+             "coupling": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                          [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                          [[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]],
+             "initial_state": [[0.6, 0.0], [0.0, 0.0], [0.8, 0.0]]}
+    cfg = _write_config(tmp_path / "cfg.json", model=model,
+                        kernel={"kind": "exponential", "lambda": 1e308},
+                        grid={"epsilon": 1.0, "n_steps": 6}, schedule=schedule,
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    assert _run(["detector", "--config", cfg, "--seed", "3"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (e,) = exponents
+    assert np.any(e == -np.inf) and np.any(np.isfinite(e)) and not np.any(np.isnan(e))
+    report = json.loads((tmp_path / "out" / "detector.json").read_text())
+    assert np.isfinite(report["log_weight"])
+    assert 0.0 < report["purity"] <= 1.0 + 1e-12
+    if schedule["kind"] == "zero-delay":
+        assert report["purity"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("command", ["evolve", "trajectory", "ensemble", "detector", "verify"])
@@ -625,15 +668,17 @@ def test_pair_budget_refuses_before_the_pair_sum(tmp_path, capsys, command):
     # 16 noncommuting steps hold 2^16 paths, within the path budget; the
     # pair sums would evaluate 4^16 pair exponents in the last row alone.
     # At coupling 3 sigma_z no Taylor depth is certified, so evolve has no
-    # other route.
+    # other route; raw pointers couple every step of the window, so their
+    # pair sum keeps one group per history.
     import time
     strong = {**_ZERO_COUPLING_MODEL,
               "coupling": [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-3.0, 0.0]]]}
     cfg = _write_config(tmp_path / "cfg.json", model=strong,
                         grid={"epsilon": 0.1, "n_steps": 16},
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
+    argv = [command] if command == "evolve" else [command, "--schedule", "x-readout"]
     start = time.monotonic()
-    assert _run([command, "--config", cfg]) == 1
+    assert _run([*argv, "--config", cfg]) == 1
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "path pairs exceed the pair budget" in err
@@ -700,17 +745,37 @@ def test_trajectory_record_round_trip(tmp_path):
     assert _run(["detector", "--record-file", str(record), "--out", str(tmp_path / "det")]) == 0
     report = json.loads((tmp_path / "det" / "detector.json").read_text())
     assert report["purity"] == pytest.approx(1.0, abs=1e-10)
-    header, rows = _read_csv(out / "trajectory.csv")
+    assert _detector_to_trajectory_distance(report, out / "trajectory.csv") <= 1e-10
+
+    again = tmp_path / "again"
+    assert _run(["trajectory", "--z-file", str(record), "--out", str(again)]) == 0
+    assert (again / "trajectory.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+
+
+def _detector_to_trajectory_distance(report, trajectory_csv):
+    """Trace distance between a detector.json state and the final state of a
+    trajectory.csv."""
+    header, rows = _read_csv(trajectory_csv)
     psi = np.array([complex(float(rows[-1][header.index(f"psi_re_{i} (dimensionless)")]),
                             float(rows[-1][header.index(f"psi_im_{i} (dimensionless)")]))
                     for i in range(2)])
     rho = np.array([[complex(*c) for c in row] for row in report["rho"]])
     expected = nt.DensityOperator.from_state(psi)
-    assert nt.trace_distance(nt.DensityOperator(matrix=rho), expected) <= 1e-10
+    return nt.trace_distance(nt.DensityOperator(matrix=rho), expected)
 
-    again = tmp_path / "again"
-    assert _run(["trajectory", "--z-file", str(record), "--out", str(again)]) == 0
-    assert (again / "trajectory.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+
+def test_zero_delay_detector_past_the_pair_budget(tmp_path):
+    # 16 noncommuting steps: 2^16 histories, whose 4^16 pairs pass the pair
+    # budget; at delay 0 they form one group, and the state is pure.
+    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": 0.1, "n_steps": 16},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    out = tmp_path / "out"
+    assert _run(["trajectory", "--config", cfg, "--seed", "11"]) == 0
+    assert _run(["detector", "--config", cfg, "--record-file", str(out / "trajectory_record.csv"),
+                 "--out", str(tmp_path / "det")]) == 0
+    report = json.loads((tmp_path / "det" / "detector.json").read_text())
+    assert report["purity"] == pytest.approx(1.0, abs=1e-12)
+    assert _detector_to_trajectory_distance(report, out / "trajectory.csv") <= 1e-10
 
 
 def _readme_flags():
