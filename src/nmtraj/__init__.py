@@ -48,13 +48,10 @@ from .quantum import (
 from .chain import (
     ConditionalState,
     PathEnsemble,
-    SingleDetector,
     build_paths,
     conditional_state_pointer,
     delayed_state,
-    pointer_width_for,
     reduced_states,
-    vn_measure,
 )
 from .trajectories import (
     EnsembleEstimate,

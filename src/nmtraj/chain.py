@@ -16,12 +16,16 @@ record against its prior: M = G^T P G and h = G^T P z for a delayed readout
 z, with P its prior's precision and G = A_{read, window} (pair (a, b) shifts
 its mean to G S); M = A_ww - A_wu A_uu^-1 A_uw and h = 2Mx for raw pointers x
 (u the unread detectors after the window w); M = 0 and h = 0 with nothing read
-(the reduced, open-system state).  On the read steps of a delayed readout
-M = A and the exponent factorizes into ket x bra, so the sum first adds up
-the histories that agree on the unread steps and pairs only those groups:
-m^(2u) group pairs for m coupling levels and u unread steps, one at delay 0
-(a pure state), plus O(P k^2) for P histories over k steps.  Raw pointers
-and the reduced state couple every step and keep one group per history.
+(the reduced, open-system state).  Ket and bra histories couple only
+through C = A - M, so the sum first adds up the histories that agree on the
+steps C couples and pairs only those groups: m^(2u) group pairs for m
+coupling levels and u such steps, plus O(P k^2) for P histories over k
+steps.  For a delayed readout these are the unread steps (none at delay 0,
+a pure state); for raw pointers, the last L read steps of a kernel of
+bandwidth L (none for a Markov kernel or at the grid's end).  On an
+exponential kernel the raw pointers' C is rank one, and its certified
+Taylor levels take P (N + 1) in place of P^2.  The reduced state couples
+every step and keeps one group per history.
 
 ``reduced_states`` may instead carry that sum forward in time in one step
 loop with one of two memories: for a kernel of finite bandwidth L, exactly,
@@ -84,7 +88,8 @@ _PAIR_CHUNK = 1024
 #: Cap on the transfer's exponent bound B (see _transfer_work).
 _EXPONENT_CAP = 600.0
 
-#: Deepest Taylor level the hierarchy may carry (see _truncation_bounds).
+#: Deepest Taylor level the hierarchy (see _truncation_bounds) and the raw
+#: pointers' rank-one levels (see _rank_one_levels) may carry.
 DEPTH_CAP = 40
 
 #: Trace-norm error the hierarchy's proved bound must keep every state under.
@@ -129,17 +134,6 @@ class ConditionalState:
 
     rho: DensityOperator
     log_weight: float
-
-
-@dataclass(frozen=True)
-class SingleDetector:
-    """One Gaussian pointer, centered at zero: width of the initial density."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
 
 
 def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, eig: CouplingEigensystem):
@@ -189,24 +183,69 @@ def _check_pairs(pairs: int) -> None:
             "reduce the step count or Hilbert dimension")
 
 
-def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray, M: np.ndarray,
-                 h: np.ndarray, support: range) -> tuple[DensityOperator, float]:
+def _group_labels(paths: PathEnsemble, support: range) -> tuple[np.ndarray, np.ndarray]:
+    """Dense labels grouping the histories that agree on the steps
+    ``support``, in lexicographic order of their eigenvalue indices there
+    (first step most significant, the order of np.unique over rows), and each
+    group's first history.
+
+    Each np.unique sorts one int64 key per history: the running label times
+    m^w plus the base-m code of the next w = 42 // bits(m) support steps.
+    Labels stay under the path count, at most PATH_BUDGET = 2^20, and
+    m^w <= 2^42, so no key passes 2^63.
+    """
+    m = paths.eigenvalues.size
+    width = 42 // m.bit_length()
+    label = np.zeros(paths.count, dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)
+    for lo in range(support.start, support.stop, width):
+        cols = paths.histories[:, lo:min(lo + width, support.stop)].astype(np.int64)
+        code = label * m ** cols.shape[1] + cols @ m ** np.arange(cols.shape[1] - 1, -1, -1)
+        _, first, label = np.unique(code, return_index=True, return_inverse=True)
+    return label, first
+
+
+def _rank_one_levels(vec: np.ndarray, dev: np.ndarray, c: float):
+    """Yield, for N = 0 .. DEPTH_CAP, the level
+
+        phi_N = (c^N / N!)^(1/2) sum_a dev_a^N vec_a
+
+    and the log of a bound on the trace of the levels past N,
+    sum_(n>N) phi_n phi_n^dag: with x = c max_a dev_a^2,
+    ||phi_n||^2 <= x^n/n! (sum_a ||vec_a||)^2, and
+    sum_(n>N) x^n/n! <= e^x x^(N+1) / (N+1)! (Lagrange), so the trace is at
+    most (sum_a ||vec_a||)^2 e^x x^(N+1) / (N+1)!.
+    """
+    x = c * float(np.max(dev * dev))
+    log_mass = 2.0 * math.log(float(np.sum(np.linalg.norm(vec, axis=1)))) + x
+    log_x = math.log(x) if x > 0.0 else -math.inf
+    for n in range(DEPTH_CAP + 1):
+        yield vec.sum(axis=0), log_mass + (n + 1) * log_x - math.lgamma(n + 2)
+        vec = vec * (math.sqrt(c / (n + 1)) * dev)[:, None]
+
+
+def _conditional(paths: PathEnsemble, A_w: np.ndarray, M: np.ndarray, h: np.ndarray,
+                 support: range, rank_one: tuple[float, np.ndarray] | None = None
+                 ) -> tuple[DensityOperator, float]:
     """The one pair sum behind every path-sum chain state,
 
         num = sum_ab exp(e_ab) |v_a><v_b|,   e_ab = -D.A_w.D/2 - S.M.S/2 + h.S,
 
-    over histories Xs with amplitudes ``amps``; returns the normalized state
-    and log trace(num).  e_ab = e_a + e_b + Xa.C.Xb with
-    e_a = -Xa.(A_w + M).Xa/2 + h.Xa and C = A_w - M.
+    over the histories Xs of ``paths`` with amplitudes v; returns the
+    normalized state and log trace(num).  e_ab = e_a + e_b + Xa.C.Xb with
+    e_a = -Xa.(A_w + M).Xa/2 + h.Xa and C = A_w - M.  Only what C couples
+    is summed pairwise.
 
-    C is PSD and, by the caller's formulas, vanishes outside the steps
-    ``support``: for raw pointers it is A_wu A_uu^-1 A_uw, u the unread
-    detectors past the window, and with nothing read it is A_w (support:
-    the whole window); for a delayed readout (read block r, unread block u
-    of the window) it is the Schur complement
-    [[0, 0], [0, A_uu - A_ur A_rr^-1 A_ru]] (support: the unread steps,
-    none at delay 0).  So Xa.C.Xb = Ka.C_SS.Kb with K = X restricted to the
-    support, and histories that agree there (one group g) are summed first,
+    Groups.  C is PSD and, by the caller's formulas, vanishes outside the
+    steps ``support``: with nothing read it is A_w (support: the whole
+    window); for a delayed readout (read block r, unread block u of the
+    window) it is the Schur complement [[0, 0], [0, A_uu - A_ur A_rr^-1 A_ru]]
+    (support: the unread steps, none at delay 0); for raw pointers it is
+    A_wu A_uu^-1 A_uw, u the unread detectors past the window, whose rows
+    vanish off the last L window steps of a kernel of bandwidth L (support:
+    those steps, none for a Markov kernel or at the grid's end).  So
+    Xa.C.Xb = Ka.C_SS.Kb with K = X restricted to the support, and histories
+    that agree there (one group g, see _group_labels) are summed first,
 
         psi_g = sum_(a in g) exp(e_a - s_g) v_a,   s_g = max_(a in g) e_a,
         num = sum_gg' exp(s_g + s_g' + K_g.C_SS.K_g') |psi_g><psi_g'|,
@@ -218,6 +257,22 @@ def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray, M: np.ndarra
     plus O(P k^2) for the P histories' own exponents; the cross term is
     built one row chunk at a time, so no array spans all group pairs.
 
+    Rank-one levels.  When the caller passes ``rank_one`` = (c, a) with
+    C = c a a^T, c > 0 (raw pointers on an exponential kernel), put
+    s = X.a, mu the midpoint of s's range and e~_a = e_a + c mu (s_a - mu).
+    Then e_ab = e~_a + e~_b + c mu^2 + c (s_a - mu)(s_b - mu), and expanding
+    the last factor's exponential,
+
+        num = exp(c mu^2) sum_n phi_n phi_n^dag,
+        phi_n = (c^n / n!)^(1/2) sum_a (s_a - mu)^n exp(e~_a) v_a,
+
+    every term PSD.  The levels up to the least depth N whose tail bound
+    (_rank_one_levels) is under _TRUNCATION_TOL times the trace of the levels
+    kept are summed, at work P (N + 1).  The dropped tail is PSD, so that
+    certifies, per record, a state within 2 _TRUNCATION_TOL in trace norm
+    and a log trace within _TRUNCATION_TOL.  The levels run only when such an
+    N <= DEPTH_CAP exists with P (N + 1) < P^2; otherwise the group sum runs.
+
     One shift.  The group-pair weight matrix W_gg' = exp(s_g) exp(s_g')
     exp(K_g.C_SS.K_g') is PSD: the first two factors form the rank-one
     PSD matrix of the positive vector exp(s), the Gram matrix
@@ -227,24 +282,44 @@ def _conditional(amps: np.ndarray, Xs: np.ndarray, A_w: np.ndarray, M: np.ndarra
     two.  So |W_gg'| <= (W_gg W_g'g')^(1/2), the largest diagonal entry
     bounds every pair, and one shift, the largest s_g + s_g + K_g.C_SS.K_g,
     keeps every exponent at most 0; each exp(e_a - s_g) is at most 1 too.
+    The levels shift by the largest e~_a.
     A history whose exponent is -inf has weight 0 and adds nothing to its
     group; a NaN or +inf exponent, or every one at -inf, ends in
     DegenerateState before any group is summed.
     """
+    Xs, amps = paths.eigenvalue_sequences, paths.amplitudes
     lo, hi = support.start, support.stop
     if hi - lo < Xs.shape[1]:
-        K, group = np.unique(Xs[:, lo:hi], axis=0, return_inverse=True)
-        group = group.reshape(-1)
+        group, first = _group_labels(paths, support)
+        K = Xs[first, lo:hi]
     else:  # on the whole window distinct histories are distinct groups
         K, group = Xs, np.arange(Xs.shape[0])
-    g, d = K.shape[0], amps.shape[1]
-    _check_pairs(g * g)
+    (P, d), g = amps.shape, K.shape[0]
+    if rank_one is None:
+        _check_pairs(g * g)
     XA, XM = Xs @ A_w, Xs @ M
     path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA + XM) + Xs @ h
     if not -np.inf < path_log.max() < np.inf:  # a NaN, a +inf, or every one at -inf
         raise DegenerateState("a chain history has exponent outside the float range; the "
                               "record values are out of the range this path sum can "
                               "represent")
+    if rank_one is not None:
+        c, a = rank_one
+        s = Xs @ a
+        mu = 0.5 * (float(s.max()) + float(s.min()))
+        num = np.zeros((d, d), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tilde = path_log + c * mu * (s - mu)
+            top = float(tilde.max())
+            levels = _rank_one_levels(np.exp(tilde - top)[:, None] * amps, s - mu, c)
+            for depth, (phi, log_tail) in zip(range(P - 1), levels):  # P (N + 1) < P^2
+                num += np.outer(phi, phi.conj())
+                trace = float(np.trace(num).real)
+                if 0.0 < trace < np.inf and log_tail <= math.log(_TRUNCATION_TOL * trace):
+                    _check_pairs(P * (depth + 1))
+                    return (DensityOperator.from_matrix(num),
+                            math.log(trace) + 2.0 * top + c * mu * mu)
+        _check_pairs(g * g)
     # A finite floor, so that a history at -inf, even in a group of them, gets
     # exp(-inf - s_g) = 0 and adds nothing; finite exponents are all above it.
     top = np.full(g, _FLOAT_MIN)
@@ -604,8 +679,9 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
         cost = np.inf
     if work is not None and cost > work:
         return _transfer_states(model, A, grid, eig, band, steps, depth)
-    return [_conditional(amps, eig.eigenvalues[hist.astype(int)], A.submatrix(range(k)),
-                         np.zeros((k, k)), np.zeros(k), range(k))[0]
+    return [_conditional(PathEnsemble(hist, amps, eig.eigenvalues,
+                                      eig.eigenvalues[hist.astype(int)]),
+                         A.submatrix(range(k)), np.zeros((k, k)), np.zeros(k), range(k))[0]
             for k, (amps, hist) in enumerate(prefixes, 1)]
 
 
@@ -639,6 +715,20 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     log det 2S = -x.y + (log det S - k log(pi/2)) / 2 needs no solve.  The gain
     A_uu^-1 A_uw takes one correction step, and S and y are summed, in extended
     precision, keeping the digits that cancel between A_ww and A_wu A_uu^-1 A_uw.
+
+    The unread detectors couple ket and bra histories only through
+    C = A_ww - S = A_wu A_uu^-1 A_uw, and _conditional sums only what C
+    couples.  Its rows and columns vanish off the window steps that A_uw
+    couples to u: by the kernel's exact zeros (a tabulated kernel's last L
+    steps, none for a Markov kernel or at the grid's end), never by a
+    threshold on rounding, and exactly in floating point too, since a zero
+    column of A_uw has a zero column of the gain.  Those steps are the
+    pair sum's support, with m^(2L) group pairs.  On an exponential kernel,
+    A_ij = c r^|i-j| (A.ar1 = (c, r)), and u nonempty, C is rank one: for
+    unread i >= k and read j < k, A_ij = c r^(i-k) r^(k-j), so
+    A_uw = A_uu[:, :1] a^T with a_j = r^(k-j); hence A_uu^-1 A_uw = e_1 a^T
+    and C = A_wu e_1 a^T = A_wu[:, 0] a^T = c a a^T, since A_jk = c a_j.
+    _conditional then sums its certified rank-one levels.
     """
     window = grid.window_before(t)
     if record.kind != "pointer" or record.window != window:
@@ -654,8 +744,13 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     log_prior = float(-(record.values @ y)) + 0.5 * (
         density.log_det - len(window) * np.log(0.5 * np.pi))
     paths = build_paths(model, grid, window)
-    rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences, A_w, S,
-                                  y.astype(float), range(len(window)))
+    coupled = np.flatnonzero(A_uw.any(axis=0))
+    support = range(int(coupled[0]) if coupled.size else len(window), len(window))
+    rank_one = None
+    if A.ar1 is not None and unread:
+        c, r = A.ar1
+        rank_one = (c, r ** np.arange(len(window), 0, -1))
+    rho, log_trace = _conditional(paths, A_w, S, y.astype(float), support, rank_one)
     return ConditionalState(rho=rho, log_weight=log_prior + log_trace)
 
 
@@ -686,36 +781,6 @@ def delayed_state(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
     density = GaussianDensity(window=read, covariance=A.submatrix(read))
     G = A.block(read, window)
     M, h = G.T @ density.precision_apply(G), G.T @ density.precision_apply(record.values)
-    rho, log_trace = _conditional(paths.amplitudes, paths.eigenvalue_sequences,
-                                  A.submatrix(window), M, h, range(len(read), len(window)))
+    rho, log_trace = _conditional(paths, A.submatrix(window), M, h,
+                                  range(len(read), len(window)))
     return ConditionalState(rho=rho, log_weight=density.logpdf(record.values) + log_trace)
-
-
-def vn_measure(detector: SingleDetector, model: ModelSpec, tau: float,
-               rho0: DensityOperator, readout: float) -> tuple[DensityOperator, float]:
-    """One impulsive pointer measurement of the coupling observable at time
-    tau (Heisenberg picture), given the pointer's initial Gaussian.
-
-    Returns the conditioned state and the readout probability density, a
-    mixture of the pointer Gaussian centered on each eigenvalue.
-    """
-    eig = eigendecompose_coupling(model)
-    U = free_step(model, tau)
-    projectors = np.stack([U.conj().T @ P @ U for P in eig.projectors])
-    var = detector.sigma ** 2
-    # Pointer wave-function overlaps: exp(-((x-Xa)^2 + (x-Xb)^2) / (4 var)).
-    expo = -((readout - eig.eigenvalues) ** 2) / (4.0 * var)
-    expo = expo - np.max(expo)
-    amp = np.exp(expo)
-    num = np.einsum("a,b,aij,jk,bkl->il", amp, amp, projectors, rho0.matrix, projectors)
-    probs = np.array([np.trace(P @ rho0.matrix).real for P in projectors])
-    density = float(np.sum(probs * np.exp(-((readout - eig.eigenvalues) ** 2) / (2.0 * var)))
-                    / np.sqrt(2.0 * np.pi * var))
-    return DensityOperator.from_matrix(num), density
-
-
-def pointer_width_for(A: KernelMatrix) -> float:
-    """Width of the equivalent single detector for a one-step window."""
-    if A.size != 1:
-        raise ValueError("pointer width shortcut requires a one-step window")
-    return float(0.5 / np.sqrt(A.entries[0, 0]))

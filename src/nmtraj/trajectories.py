@@ -41,9 +41,9 @@ _STREAM_ENSEMBLE = 0x45
 _ENSEMBLE_CHUNK = 8192
 _MIN_EFFECTIVE_SAMPLES = 10.0
 #: Most path weights (records x paths) one evaluator block holds.  At 2^16
-#: a block's temporaries (0.5 MiB of weights, 1 MiB of complex overlaps) stay
-#: in cache and reuse the pages the previous block freed, where 2^20 weights
-#: (8 to 16 MiB per temporary) fault in fresh pages on every ensemble call.
+#: the blocks' two buffers (0.5 MiB of weights, 1 MiB of their complex cast
+#: and overlaps) stay in cache, where 2^20 weights (8 to 16 MiB per buffer)
+#: fault in fresh pages on every ensemble call.
 _WEIGHT_BLOCK = 2 ** 16
 #: Most floats an ensemble keeps per sample, summed over its samples: its
 #: weight (1 GiB).
@@ -121,11 +121,19 @@ class MeanReadoutComparison:
         return abs(self.difference) / self.difference_se
 
 
-def _path_weights(Z: np.ndarray, Xs: np.ndarray, A_w: np.ndarray) -> np.ndarray:
+def _path_quad(Xs: np.ndarray, A_w: np.ndarray) -> np.ndarray:
+    """X_a . A_w X_a of every eigenvalue history X_a (row of Xs)."""
+    return np.einsum("pk,pk->p", Xs, Xs @ A_w)
+
+
+def _path_weights(Z: np.ndarray, Xs: np.ndarray, quad: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Direct path weights W_sa = exp(z_s . X_a - X_a . A_w X_a) of every
-    record row z_s of Z and eigenvalue history X_a (row of Xs)."""
-    quad = np.einsum("pk,pk->p", Xs, Xs @ A_w)
-    return np.exp(Z @ Xs.T - quad[None, :])
+    record row z_s of Z and eigenvalue history X_a (row of Xs), from
+    quad = _path_quad(Xs, A_w); written into ``out`` when one is given."""
+    W = np.matmul(Z, Xs.T, out=out)
+    W -= quad[None, :]
+    return np.exp(W, out=W)
 
 
 def _evaluate(Z: np.ndarray, Xs: np.ndarray, amps: np.ndarray,
@@ -134,18 +142,27 @@ def _evaluate(Z: np.ndarray, Xs: np.ndarray, amps: np.ndarray,
     weighted couplings c_sj = Re sum_a W_sa X_aj <psi_s|v_a>, that is
     Re <psi_s | d psi_s / d z_j>, so no record is divided by its weight.
 
-    Works in row blocks of at most _WEIGHT_BLOCK weights.
+    Works in row blocks of at most _WEIGHT_BLOCK weights.  Every block is
+    written into the same two buffers, the weights and their complex cast
+    (which W @ amps would otherwise allocate), reused for the overlaps:
+    fresh block-sized arrays would go back to the allocator and be faulted
+    in again on every block.
     """
     psi = np.empty((Z.shape[0], amps.shape[1]), dtype=complex)
     coupling = np.empty(Z.shape)
     rows = max(1, _WEIGHT_BLOCK // amps.shape[0])
+    quad = _path_quad(Xs, A_w)
+    weights = np.empty((min(rows, Z.shape[0]), amps.shape[0]))
+    cast = np.empty(weights.shape, dtype=complex)
     for lo in range(0, Z.shape[0], rows):
-        W = _path_weights(Z[lo:lo + rows], Xs, A_w)
-        psi[lo:lo + rows] = W @ amps
-        overlap = psi[lo:lo + rows].conj() @ amps.T
+        hi = min(lo + rows, Z.shape[0])
+        W = _path_weights(Z[lo:hi], Xs, quad, out=weights[:hi - lo])
+        W_complex = cast[:hi - lo]
+        W_complex[...] = W
+        psi[lo:hi] = W_complex @ amps
+        overlap = np.matmul(psi[lo:hi].conj(), amps.T, out=W_complex)
         overlap *= W
-        coupling[lo:lo + rows] = overlap.real @ Xs
-        del W, overlap  # free this block before the next one is weighed
+        coupling[lo:hi] = overlap.real @ Xs
     return psi, coupling
 
 
@@ -197,7 +214,7 @@ def readout_derivatives(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: fl
     window = grid.window_before(t)
     paths = build_paths(model, grid, window)
     Xs = paths.eigenvalue_sequences
-    w = _path_weights(record.values[None, :], Xs, A.submatrix(window))[0]
+    w = _path_weights(record.values[None, :], Xs, _path_quad(Xs, A.submatrix(window)))[0]
     return (Xs * w[:, None]).T @ paths.amplitudes
 
 

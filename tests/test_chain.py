@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -600,13 +601,13 @@ def test_pointer_state_single_step_matches_single_detector(default_model):
     # the initial frame.
     grid = nt.TimeGrid(epsilon=0.1, n_steps=1)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
-    sigma = nt.pointer_width_for(A)
+    sigma = pointer_width_for(A)
     v = 0.6
     rec = NoiseRecord(window=range(0, 1), values=[v], kind="pointer")
     state = nt.conditional_state_pointer(default_model, A, grid, 0.1, rec)
     rho0 = DensityOperator.from_state(default_model.initial_state)
-    detector = nt.SingleDetector(sigma=sigma)
-    rho_vn, p_vn = nt.vn_measure(detector, default_model, 0.1, rho0, v)
+    detector = SingleDetector(sigma=sigma)
+    rho_vn, p_vn = vn_measure(detector, default_model, 0.1, rho0, v)
     U = nt.free_step(default_model, 0.1)
     rotated = DensityOperator.from_matrix(U @ rho_vn.matrix @ U.conj().T)
     assert nt.trace_distance(state.rho, rotated) <= 1e-12
@@ -707,6 +708,135 @@ def test_pointer_guard_on_a_nearly_singular_kernel(t, rate, accepted, monkeypatc
         assert abs(abs(state.rho.matrix[0, 1]) - rho_01) <= 1e-14
 
 
+# ------------------------------------------- raw pointers: what C couples
+
+
+def _dense_pointer_terms(model, A, grid, k):
+    """Histories, amplitudes and the dense S and C = A_wu A_uu^-1 A_uw of a
+    k-step read window, C from a solve with no entry of it assumed zero."""
+    paths = nt.build_paths(model, grid, range(k))
+    A_w, A_wu = A.entries[:k, :k], A.entries[:k, k:]
+    C = A_wu @ np.linalg.solve(A.entries[k:, k:], A_wu.T) if k < A.size else np.zeros((k, k))
+    return paths.eigenvalue_sequences, paths.amplitudes, A_w - C, C
+
+
+def _dense_pointer_state(model, A, grid, k, x):
+    """Reference raw-pointer state: every history pair of the window with
+    the dense C, and log p(x) = log N(x; 0, S^-1 / 4)."""
+    X, v, S, C = _dense_pointer_terms(model, A, grid, k)
+    e = -0.5 * np.einsum("pk,pk->p", X, X @ (A.entries[:k, :k] + S)) + 2.0 * X @ (S @ x)
+    E = e[:, None] + e[None, :] + X @ C @ X.T
+    shift = np.max(E)
+    num = v.T @ np.exp(E - shift) @ v.conj()
+    trace = np.trace(num).real
+    log_prior = (-2.0 * x @ S @ x + 0.5 * np.linalg.slogdet(4.0 * S)[1]
+                 - 0.5 * k * np.log(2.0 * np.pi))
+    return num / trace, np.log(trace) + shift + log_prior
+
+
+def _qutrit_012():
+    model = _qutrit_setup()[0]
+    return nt.ModelSpec(dim=3, hamiltonian=model.hamiltonian, coupling=np.diag([0.0, 1.0, 2.0]),
+                        initial_state=model.initial_state)
+
+
+_POINTER_CASES = {  # model, kernel, grid steps, bandwidth of the kernel (None: exponential)
+    "sigma-z": (nt.default_qubit, nt.ExponentialKernel(rate=1.0), 10, None),
+    "3-sigma-z": (lambda: _qubit_coupled(3.0), nt.ExponentialKernel(rate=1.0), 10, None),
+    "qutrit-012": (_qutrit_012, nt.ExponentialKernel(rate=1.0), 6, None),
+    "degenerate": (_degenerate_qutrit, nt.ExponentialKernel(rate=1.0), 8, None),
+    "rate-0.1": (nt.default_qubit, nt.ExponentialKernel(rate=0.1), 10, None),
+    "rate-10": (nt.default_qubit, nt.ExponentialKernel(rate=10.0), 10, None),
+    "tab-L1": (nt.default_qubit, _tab((0.5, 0.2, 0.0)), 10, 1),
+    "tab-L2": (nt.default_qubit, _tab((0.5, 0.3, 0.1, 0.0)), 10, 2),
+    "tab-L3": (nt.default_qubit, _tab((0.5, 0.3, 0.2, 0.1, 0.0)), 10, 3),
+    "markov": (nt.default_qubit, nt.MarkovDeltaKernel(g=1.0), 10, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_POINTER_CASES))
+def test_pointer_state_matches_the_dense_pair_sum(case, monkeypatch):
+    # Interior t and the grid's end, against every history pair.  Finite
+    # support sums m^(2L) group pairs (one, a pure state, for Markov and at
+    # the end); the exponential kernel's rank-one levels cost P (N + 1) < P^2.
+    make, kernel, n, band = _POINTER_CASES[case]
+    model, grid = make(), nt.TimeGrid(epsilon=0.1, n_steps=n)
+    A = nt.build_kernel_matrix(kernel, grid)
+    m = nt.eigendecompose_coupling(model).count
+    checked = []
+    check = chain._check_pairs
+    monkeypatch.setattr(chain, "_check_pairs", lambda pairs: checked.append(pairs) or check(pairs))
+    for k in (n - 3, n):
+        x = nt.sample_pointer_prior(A, 1, seed=21)[0].values[:k]
+        checked.clear()
+        state = nt.conditional_state_pointer(model, A, grid, 0.1 * k, NoiseRecord(
+            window=range(k), values=x, kind="pointer"))
+        rho, log_weight = _dense_pointer_state(model, A, grid, k, x)
+        assert np.max(np.abs(state.rho.matrix - rho)) <= 1e-12
+        assert state.log_weight == pytest.approx(log_weight, rel=1e-12)
+        paths = nt.build_paths(model, grid, range(k)).count
+        if band is None and k < n:
+            assert len(checked) == 1 and checked[0] % paths == 0 and checked[0] < paths ** 2
+        else:
+            assert checked == [m ** (2 * (band if k < n else 0))]
+        if band == 0 or k == n:
+            assert state.rho.purity == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["3-sigma-z", "qutrit-012"])
+def test_rank_one_tail_bound_dominates_the_truncation_error(case):
+    # The levels past N sum to a PSD tail whose trace norm, measured against
+    # the dense pair sum, stays under the bound at every depth N = 2 .. 8.
+    # The bound holds in exact arithmetic; the dense sum's own rounding, a
+    # few ulps of its trace, is the floor of the measured error: the qutrit
+    # reaches it at N = 7, after a bound within a factor 2 of it at N = 2..6.
+    make, kernel, n, _ = _POINTER_CASES[case]
+    model, grid = make(), nt.TimeGrid(epsilon=0.1, n_steps=n)
+    A = nt.build_kernel_matrix(kernel, grid)
+    k = n - 3
+    x = nt.sample_pointer_prior(A, 1, seed=22)[0].values[:k]
+    X, v, S, C = _dense_pointer_terms(model, A, grid, k)
+    c, r = A.ar1
+    a = r ** np.arange(k, 0, -1)
+    assert np.max(np.abs(C - c * np.outer(a, a))) <= 1e-15 * c  # C is rank one
+    s = X @ a
+    mu = 0.5 * (s.max() + s.min())
+    e = -0.5 * np.einsum("pk,pk->p", X, X @ (A.entries[:k, :k] + S)) + 2.0 * X @ (S @ x)
+    e += c * mu * (s - mu)
+    w = np.exp(e - e.max())
+    exact = v.T @ (np.outer(w, w) * np.exp(c * np.outer(s - mu, s - mu))) @ v.conj()
+    num = np.zeros_like(exact)
+    levels = chain._rank_one_levels(w[:, None] * v, s - mu, c)
+    errors, rounding = [], 4.0 * np.finfo(float).eps * np.trace(exact).real
+    for depth, (phi, log_tail) in zip(range(9), levels):
+        num += np.outer(phi, phi.conj())
+        if depth >= 2:
+            errors.append(np.sum(np.abs(np.linalg.eigvalsh(exact - num))))
+            assert errors[-1] <= np.exp(log_tail) + rounding
+    assert errors[0] > 1e-8  # a truncation error well above rounding
+
+
+def test_uncertified_pointer_levels_fall_back_to_the_pair_sum(monkeypatch):
+    # At coupling 10 sigma_z no depth up to DEPTH_CAP is certified: every
+    # level is drawn, then the pair sum runs over every history pair.
+    _, kernel, n, _ = _POINTER_CASES["sigma-z"]
+    model, grid = _qubit_coupled(10.0), nt.TimeGrid(epsilon=0.1, n_steps=n)
+    A = nt.build_kernel_matrix(kernel, grid)
+    checked, drawn = [], []
+    check, levels = chain._check_pairs, chain._rank_one_levels
+    monkeypatch.setattr(chain, "_check_pairs", lambda pairs: checked.append(pairs) or check(pairs))
+    monkeypatch.setattr(chain, "_rank_one_levels",
+                        lambda *args: (drawn.append(level) or level for level in levels(*args)))
+    k = n - 3
+    x = nt.sample_pointer_prior(A, 1, seed=23)[0].values[:k]
+    state = nt.conditional_state_pointer(model, A, grid, 0.1 * k, NoiseRecord(
+        window=range(k), values=x, kind="pointer"))
+    assert len(drawn) == chain.DEPTH_CAP + 1 and checked == [4 ** k]
+    rho, log_weight = _dense_pointer_state(model, A, grid, k, x)
+    assert np.max(np.abs(state.rho.matrix - rho)) <= 1e-12
+    assert state.log_weight == pytest.approx(log_weight, rel=1e-12)
+
+
 # ------------------------------------------------- pair exponent (A, M, h)
 
 
@@ -715,9 +845,9 @@ def _pair_terms(state, monkeypatch):
     seen = []
     pair_sum = chain._conditional
 
-    def spying(amps, Xs, A_w, M, h, support):
+    def spying(paths, A_w, M, h, support, rank_one=None):
         seen.append((A_w, M, h, support))
-        return pair_sum(amps, Xs, A_w, M, h, support)
+        return pair_sum(paths, A_w, M, h, support, rank_one)
 
     with monkeypatch.context() as patch:
         patch.setattr(chain, "_conditional", spying)
@@ -774,7 +904,10 @@ def test_pointer_pair_terms_are_the_closed_form(kernel, steps, default_model, mo
         lambda: nt.conditional_state_pointer(default_model, A, grid, 0.1 * steps, rec),
         monkeypatch)
     assert np.array_equal(A_w, A.submatrix(range(steps)))
-    assert support == range(steps)
+    # C = A_w - M couples only the window steps A_uw reaches: every one on
+    # the exponential kernel, the last one at bandwidth 1, none at the end.
+    band = steps if kernel == "exponential" else 1
+    assert support == range(steps - band if steps < 8 else steps, steps)
     A_wu, A_uu = A.entries[:steps, steps:], A.entries[steps:, steps:]
     M_expected = A_w - A_wu @ np.linalg.solve(A_uu, A_wu.T) if steps < 8 else A_w
     _check_pair_terms(A_w, M, h, M_expected, 2.0 * M_expected @ x)
@@ -830,17 +963,20 @@ def test_grouped_pair_sum_matches_the_dense_pair_sum(case, default_model):
 
 
 def test_pair_sum_counts_group_pairs(default_model, monkeypatch):
-    # m^(2u) group pairs for u unread steps: 1 at delay 0; raw pointers and
-    # the reduced state's path-sum route couple every step, so P^2.  The
+    # m^(2u) group pairs for u unread steps: 1 at delay 0; raw pointers on
+    # the exponential kernel sum P (N + 1) for their N + 1 rank-one levels;
+    # the reduced state's path-sum route couples every step, so P^2.  The
     # reduced route's walk first checks its running sum of P_k^2.
-    checked = []
-    check = chain._check_pairs
+    checked, drawn = [], []
+    check, levels = chain._check_pairs, chain._rank_one_levels
 
     def counting(pairs):
         checked.append(pairs)
         check(pairs)
 
     monkeypatch.setattr(chain, "_check_pairs", counting)
+    monkeypatch.setattr(chain, "_rank_one_levels",
+                        lambda *args: (drawn.append(level) or level for level in levels(*args)))
     grid, A = _eight_steps("exponential")
     z = nt.sample_readout_prior(A, 1, seed=14)[0].values
     qutrit, grid6, A6 = _qutrit_setup()
@@ -855,7 +991,7 @@ def test_pair_sum_counts_group_pairs(default_model, monkeypatch):
     x = nt.sample_pointer_prior(A, 1, seed=14)[0].values[:6]
     nt.conditional_state_pointer(default_model, A, grid, 0.6,
                                  NoiseRecord(window=range(6), values=x, kind="pointer"))
-    assert checked == [4 ** 6]
+    assert checked == [2 ** 6 * len(drawn)] and len(drawn) < 2 ** 6
     checked.clear()
     _path_sum(default_model, A, grid, monkeypatch)
     assert checked == [sum(4 ** j for j in range(1, k + 1)) for k in range(1, 9)] + [
@@ -1037,39 +1173,80 @@ def test_delayed_state_validation(default_model, A8, grid8):
 # ---------------------------------------------------------- vn_measure
 
 
+@dataclass(frozen=True)
+class SingleDetector:
+    """One Gaussian pointer, centered at zero: width of the initial density."""
+
+    sigma: float
+
+    def __post_init__(self):
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be positive")
+
+
+def vn_measure(detector, model, tau, rho0, readout):
+    """One impulsive pointer measurement of the coupling observable at time
+    tau (Heisenberg picture), given the pointer's initial Gaussian: the
+    single-detector oracle of the one-step chain.
+
+    Returns the conditioned state and the readout probability density, a
+    mixture of the pointer Gaussian centered on each eigenvalue.
+    """
+    eig = nt.eigendecompose_coupling(model)
+    U = nt.free_step(model, tau)
+    projectors = np.stack([U.conj().T @ P @ U for P in eig.projectors])
+    var = detector.sigma ** 2
+    # Pointer wave-function overlaps: exp(-((x-Xa)^2 + (x-Xb)^2) / (4 var)).
+    expo = -((readout - eig.eigenvalues) ** 2) / (4.0 * var)
+    expo = expo - np.max(expo)
+    amp = np.exp(expo)
+    num = np.einsum("a,b,aij,jk,bkl->il", amp, amp, projectors, rho0.matrix, projectors)
+    probs = np.array([np.trace(P @ rho0.matrix).real for P in projectors])
+    density = float(np.sum(probs * np.exp(-((readout - eig.eigenvalues) ** 2) / (2.0 * var)))
+                    / np.sqrt(2.0 * np.pi * var))
+    return DensityOperator.from_matrix(num), density
+
+
+def pointer_width_for(A):
+    """Width of the equivalent single detector for a one-step window."""
+    if A.size != 1:
+        raise ValueError("pointer width shortcut requires a one-step window")
+    return float(0.5 / np.sqrt(A.entries[0, 0]))
+
+
 def test_vn_measure_eigenstate_shifts_pointer_only(default_model):
-    detector = nt.SingleDetector(sigma=0.5)
+    detector = SingleDetector(sigma=0.5)
     rho0 = DensityOperator.from_state(np.array([1.0, 0.0]))
     # Coupling eigenvalue +1; measure at time zero so the frame is trivial.
     for x in (0.0, 0.4, 1.3):
-        rho_x, p = nt.vn_measure(detector, default_model, 0.0, rho0, x)
+        rho_x, p = vn_measure(detector, default_model, 0.0, rho0, x)
         assert nt.trace_distance(rho_x, rho0) <= 1e-12
         expected = np.exp(-(x - 1.0) ** 2 / 0.5) / np.sqrt(2 * np.pi * 0.25)
         assert p == pytest.approx(expected, rel=1e-12)
 
 
 def test_vn_measure_mixture_and_normalization(default_model):
-    detector = nt.SingleDetector(sigma=0.8)
+    detector = SingleDetector(sigma=0.8)
     rho0 = DensityOperator.from_state(_plus())
     xs = np.linspace(-3, 3, 7)
     for x in xs:
-        _, p = nt.vn_measure(detector, default_model, 0.0, rho0, x)
+        _, p = vn_measure(detector, default_model, 0.0, rho0, x)
         mix = 0.5 * (np.exp(-(x - 1) ** 2 / (2 * 0.64)) + np.exp(-(x + 1) ** 2 / (2 * 0.64)))
         assert p == pytest.approx(mix / np.sqrt(2 * np.pi * 0.64), rel=1e-12)
     total, _ = integrate.quad(
-        lambda x: nt.vn_measure(detector, default_model, 0.0, rho0, x)[1], -12, 12,
+        lambda x: vn_measure(detector, default_model, 0.0, rho0, x)[1], -12, 12,
         limit=200)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vn_measure_projective_limit(default_model):
-    detector = nt.SingleDetector(sigma=1e-3)
+    detector = SingleDetector(sigma=1e-3)
     rho0 = DensityOperator.from_state(_plus())
-    rho_x, _ = nt.vn_measure(detector, default_model, 0.0, rho0, 1.0)
+    rho_x, _ = vn_measure(detector, default_model, 0.0, rho0, 1.0)
     collapsed = DensityOperator.from_state(np.array([1.0, 0.0]))
     assert nt.trace_distance(rho_x, collapsed) <= 1e-10
 
 
 def test_single_detector_validation():
     with pytest.raises(ValueError):
-        nt.SingleDetector(sigma=0.0)
+        SingleDetector(sigma=0.0)

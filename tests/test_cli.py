@@ -458,6 +458,23 @@ def test_x_readout_on_zero_kernel(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_x_readout_of_16_steps_runs_on_rank_one_levels(tmp_path, capsys):
+    # 16 read steps of a 20-step default-qubit exponential grid: 2^16
+    # histories, whose 4^16 history pairs pass the pair budget; the unread
+    # detectors couple them through a rank-one term, whose certified levels
+    # take P (N + 1) work.
+    import time
+    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": 0.1, "n_steps": 20},
+                        schedule={"kind": "x-readout", "t": 1.6},
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    start = time.monotonic()
+    assert _run(["detector", "--config", cfg]) == 0
+    assert time.monotonic() - start < 1.0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "detector.json").read_text())
+    assert len(report["record"]) == 16 and 0.0 < report["purity"] < 1.0 - 1e-6
+
+
 def test_ensemble_weights_out_of_float_range(tmp_path, capsys):
     # 120 steps at coupling 6 sigma_z: the weights sum to about 1e-280, and
     # their squares underflow to 0.
@@ -621,10 +638,11 @@ def test_overflowing_histories_add_nothing(tmp_path, capsys, monkeypatch, schedu
     exponents = []
     conditional = chain._conditional
 
-    def spy(amps, Xs, A_w, M, h, support):
+    def spy(paths, A_w, M, h, support):
+        Xs = paths.eigenvalue_sequences
         XA, XM = Xs @ A_w, Xs @ M
         exponents.append(-0.5 * np.einsum("pk,pk->p", Xs, XA + XM) + Xs @ h)
-        return conditional(amps, Xs, A_w, M, h, support)
+        return conditional(paths, A_w, M, h, support)
 
     monkeypatch.setattr(chain, "_conditional", spy)
     model = {"dim": 3,
@@ -668,17 +686,21 @@ def test_pair_budget_refuses_before_the_pair_sum(tmp_path, capsys, command):
     # 16 noncommuting steps hold 2^16 paths, within the path budget; the
     # pair sums would evaluate 4^16 pair exponents in the last row alone.
     # At coupling 3 sigma_z no Taylor depth is certified, so evolve has no
-    # other route; raw pointers couple every step of the window, so their
-    # pair sum keeps one group per history.
+    # other route.  Raw pointers read 16 steps of a 20-step grid; at
+    # coupling 10 sigma_z no rank-one level depth is certified, and the
+    # exponential kernel couples every read step to the unread ones, so
+    # their pair sum keeps one group per history.
     import time
-    strong = {**_ZERO_COUPLING_MODEL,
-              "coupling": [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-3.0, 0.0]]]}
-    cfg = _write_config(tmp_path / "cfg.json", model=strong,
-                        grid={"epsilon": 0.1, "n_steps": 16},
+    strength = 3.0 if command == "evolve" else 10.0
+    strong = {**_ZERO_COUPLING_MODEL, "coupling": [[[strength, 0.0], [0.0, 0.0]],
+                                                   [[0.0, 0.0], [-strength, 0.0]]]}
+    blocks = ({"grid": {"epsilon": 0.1, "n_steps": 16}} if command == "evolve" else
+              {"grid": {"epsilon": 0.1, "n_steps": 20},
+               "schedule": {"kind": "x-readout", "t": 1.6}})
+    cfg = _write_config(tmp_path / "cfg.json", model=strong, **blocks,
                         output={"directory": str(tmp_path / "out"), "format": "csv"})
-    argv = [command] if command == "evolve" else [command, "--schedule", "x-readout"]
     start = time.monotonic()
-    assert _run([*argv, "--config", cfg]) == 1
+    assert _run([command, "--config", cfg]) == 1
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "path pairs exceed the pair budget" in err
