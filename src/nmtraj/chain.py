@@ -33,7 +33,9 @@ over the last L ket/bra eigenvalue index pairs (the memory window); for an
 exponential kernel, whose matrix is AR(1), as Taylor levels in the pair's
 one scalar memory term, truncated at the least depth whose proved error
 bound is under 1e-14 (the discrete hierarchy of the hierarchical equations
-of motion).  The path sum stays the reference route.
+of motion).  That bound reads only the kernel, the coupling's spread, the
+step count and the dimension, never the path count, so it certifies long
+grids.  The path sum stays the reference route.
 
 Conventions fixed here and mirrored bit-for-bit by the trajectory solver:
 within one step the free unitary acts first and the detector kick acts at
@@ -51,7 +53,6 @@ across workers and merge partial Hermitian sums in any associative order.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -89,15 +90,12 @@ _PAIR_CHUNK = 1024
 _EXPONENT_CAP = 600.0
 
 #: Deepest Taylor level the hierarchy (see _truncation_bounds) and the raw
-#: pointers' rank-one levels (see _rank_one_levels) may carry.
-DEPTH_CAP = 40
+#: pointers' rank-one levels (see _rank_one_levels) may carry; 42 certifies
+#: the default qubit's exponential kernel on 2000 steps.
+DEPTH_CAP = 42
 
 #: Trace-norm error the hierarchy's proved bound must keep every state under.
 _TRUNCATION_TOL = 1e-14
-
-#: Scales s * Dmax of the weighted level norm that _truncation_bounds tries;
-#: the best on the benchmark's kernels lie at 0.0125 to 0.4.
-_LEVEL_SCALES = 2.0 ** -np.arange(1, 8)
 
 _LEVELS = np.arange(DEPTH_CAP + 2)
 _LAG = _LEVELS[:, None] - _LEVELS[None, :]
@@ -115,13 +113,13 @@ class PathEnsemble:
     ``amplitudes[p]`` is the unnormalized state vector obtained by applying,
     for each step of the window, the free unitary followed by the projector
     selected by history p.  Summing amplitudes over histories recovers the
-    freely evolved state (projector completeness).
+    freely evolved state (projector completeness).  The eigenvalue
+    sequences are ``eigenvalues[histories]``.
     """
 
     histories: np.ndarray       # (paths, steps) int8 indices into eigenvalues
     amplitudes: np.ndarray      # (paths, dim) complex
     eigenvalues: np.ndarray     # (levels,) distinct coupling eigenvalues
-    eigenvalue_sequences: np.ndarray  # (paths, steps) float
 
     @property
     def count(self) -> int:
@@ -171,9 +169,7 @@ def build_paths(model: ModelSpec, grid: TimeGrid, window: range) -> PathEnsemble
     eig = eigendecompose_coupling(model)
     for amps, hist in _walk_paths(model, grid, len(window), eig):
         pass
-    return PathEnsemble(histories=hist, amplitudes=amps,
-                        eigenvalues=eig.eigenvalues,
-                        eigenvalue_sequences=eig.eigenvalues[hist.astype(int)])
+    return PathEnsemble(histories=hist, amplitudes=amps, eigenvalues=eig.eigenvalues)
 
 
 def _check_pairs(pairs: int) -> None:
@@ -287,7 +283,7 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, M: np.ndarray, h: np.ndar
     group; a NaN or +inf exponent, or every one at -inf, ends in
     DegenerateState before any group is summed.
     """
-    Xs, amps = paths.eigenvalue_sequences, paths.amplitudes
+    Xs, amps = paths.eigenvalues[paths.histories], paths.amplitudes
     lo, hi = support.start, support.stop
     if hi - lo < Xs.shape[1]:
         group, first = _group_labels(paths, support)
@@ -298,7 +294,12 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, M: np.ndarray, h: np.ndar
     if rank_one is None:
         _check_pairs(g * g)
     XA, XM = Xs @ A_w, Xs @ M
-    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA + XM) + Xs @ h
+    # On the whole window the group sum's cross term is XA - XM; the rank-one
+    # levels read neither, so no P x k product outlives path_log there.
+    cross = XA - XM if K is Xs and rank_one is None else None
+    XA += XM
+    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA) + Xs @ h
+    del XA, XM
     if not -np.inf < path_log.max() < np.inf:  # a NaN, a +inf, or every one at -inf
         raise DegenerateState("a chain history has exponent outside the float range; the "
                               "record values are out of the range this path sum can "
@@ -326,9 +327,8 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, M: np.ndarray, h: np.ndar
     np.maximum.at(top, group, path_log)
     psi = np.zeros((g, d), dtype=complex)
     np.add.at(psi, group, np.exp(path_log - top[group])[:, None] * amps)
-    # On the whole window K is Xs and its products are the ones formed above.
-    KA, KM = (XA, XM) if K is Xs else (K @ A_w[lo:hi, lo:hi], K @ M[lo:hi, lo:hi])
-    cross = KA - KM
+    if cross is None:
+        cross = K @ A_w[lo:hi, lo:hi] - K @ M[lo:hi, lo:hi]
     num = np.zeros((d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = float(np.max(2.0 * top + np.einsum("gk,gk->g", cross, K))) if g else 0.0
@@ -439,109 +439,92 @@ def _taylor_matrix(delta: float, c: float, r: float, size: int) -> np.ndarray:
         _shift(c * delta, size) @ expand)
 
 
-def _truncation_bounds(eig: CouplingEigensystem, A: KernelMatrix,
-                       steps: int) -> np.ndarray | None:
-    """Proved bound, for each depth N = 0 .. DEPTH_CAP, on the error that
-    truncating the Taylor hierarchy at level N leaves in any one history
-    pair's weight over ``steps`` steps; None when A has no AR(1) structure.
+def _truncation_bounds(c: float, r: float, spread: float, steps: int,
+                       dim: int) -> np.ndarray:
+    """Proved bound, for each depth N = 0 .. DEPTH_CAP, on the trace-norm
+    error that truncating the Taylor hierarchy at level N leaves in each
+    normalized reduced state after 1 .. ``steps`` steps, for the kernel
+    A_ij = c r^|i-j| (0 <= r <= 1), coupling eigenvalues of spread
+    Dmax = ``spread`` and Hilbert dimension d = ``dim``.  It reads nothing
+    else: no path count, no history and no t.
 
-    Notation (see _transfer_states).  A_ij = c r^|i-j| with 0 <= r <= 1.  A
-    pair of histories has eigenvalue differences D_k; its memory term is
-    y_0 = 0, y_(k+1) = r (y_k + c D_k), its weight after k steps is
-    w_k = exp(-D.A_k.D / 2) over the leading k x k block A_k, and its exact
-    levels are u_k^(n) = w_k y_k^n / n!.  A step with delta = D_k maps them
-    by the infinite matrix T^delta of _taylor_matrix; the hierarchy keeps
-    levels n, l <= N only.
+    Notation (see _transfer_states).  Over the history pairs (a, b), with
+    eigenvalue differences D_j, the exact levels after k steps are
+    rho^(n)_k = sum_ab w y^n/n! |v_a><v_b|, with w = exp(-D.A_k.D/2) over
+    the leading k x k block A_k and y = c sum_(j<k) r^(k-j) D_j.  u_k is the
+    vector of all levels, and one step maps it by the infinite matrix S
+    whose blocks are T^(x_alpha - x_beta) of _taylor_matrix times the split
+    P_alpha U . U^dag P_beta.  The hierarchy runs u~_(k+1) = Pi S u~_k from
+    u~_0 = u_0, with Pi dropping the levels above N.
 
-    1. Linearity.  The truncated matrix levels are the sums over pairs
-       (a, b) of the truncated scalar recursion run along the pair's D
-       sequence, times |v_a><v_b| with v_a the path amplitude.  So the
-       level-0 matrix errs by sum_ab e_ab |v_a><v_b|, whose trace norm is at
-       most max|e_ab| (sum_a ||v_a||)^2 <= P max|e_ab|, by Cauchy-Schwarz
-       with sum_a ||v_a||^2 = 1 (complete projectors, unitary steps) and P
-       the surviving path count, which never falls from step to step.
-    2. Exact levels.  A_k is PSD (AR(1) blocks are), so w_k <= 1; and
-       |y_k| <= Y = c Dmax sum_(j=1..steps-1) r^j for every step k < steps,
-       Dmax the spread of the coupling eigenvalues.  So |u^(l)| <= Y^l / l!.
-    3. Residual.  Step k takes the exact levels to the exact levels; the
-       truncated map misses tau^(n) = exp(-c delta^2/2) r^n w_k R(y_k), with
-       R the part of degree > N of exp(-delta y) (y + c delta)^n / n!.  The
-       coefficients of exp(|delta| y) (y + c |delta|)^n / n! dominate those
-       in modulus, so with x = |delta| Y
-           |tau^(n)| <= exp(-c delta^2/2) r^n
-                        sum_(i<=n) Y^i/i! (c|delta|)^(n-i)/(n-i)! E_(N-i)(x),
-       where E_m(x) = sum_(j>m) x^j/j! <= e^x x^(m+1)/(m+1)! (Lagrange).
-    4. Propagation.  The error vector e_k over levels 0 .. N starts at
-       e_0 = 0 (y_0 = 0 makes every level above 0 vanish) and obeys
-       e_(k+1) = T_N^delta e_k - tau_k.  In the norm |v|_s = max_n |v_n| / s^n
-       for any s > 0, |e_k|_s <= tau_s sum_(j<k) g_s^j, with tau_s the
-       largest |tau|_s over steps and differences and g_s the largest
-       induced norm max_n sum_(l<=N) |T_nl| s^(l-n) over the differences.
-       g_s >= 1, since T^0 = diag(r^n), so the sum grows with k and the
-       bound for k = steps covers every earlier step; |e^(0)| <= |e|_s.
-       Any s gives a bound: the least over the fixed scan
-       s = _LEVEL_SCALES / Dmax is returned.  (T^delta and T^-delta differ
-       only in the signs (-1)^(n+l), so |delta| > 0 suffices, and delta = 0
-       leaves tau = 0.)
-    5. Normalization.  tr of the exact level 0 is 1, so a level-0 error of
-       trace norm eta moves the normalized state by at most 2 eta / (1 - eta)
-       (see _path_capacity).
+    1. Classical noise.  A is PSD, so exp(-D.A.D/2) = E exp(i xi.D) for
+       xi ~ N(0, A), a stationary Gaussian Markov chain with variance c and
+       lag-one correlation r: Kubo's stochastic Liouville picture, from which
+       Tanimura and Kubo derive the hierarchy.  Let F_k(z) be the average of
+       the kicked evolution psi -> exp(i xi_j X) U psi over its first k steps,
+       given the next noise value xi_k = z; it is a density operator at every
+       z.  Given xi_k = z, sum_(j<k) xi_j D_j is Gaussian with mean z y/c and
+       variance D.A_k.D - y^2/c, so by the Hermite generating function
+           F_k(z) = sum_n i^n c^(-n/2) He_n(z / sqrt(c)) rho^(n)_k.
+    2. The level norm.  Let ||u||^2 = sum_n n! c^-n ||u^(n)||_HS^2.  The
+       He_n(z / sqrt(c)) / sqrt(n!) are orthonormal under z ~ N(0, c), so
+       ||u|| is the root mean square over z of ||F(z)||_HS (Parseval); for
+       the exact levels it is at most 1.
+    3. The step contracts.  F_(k+1)(z) averages exp(i xi_k X) U F_k(xi_k)
+       U^dag exp(-i xi_k X) over xi_k given xi_(k+1) = z (xi is Markov in
+       both directions): a unitary conjugation at each value, which keeps
+       ||F||_HS, then the Mehler conditional expectation, diag(r^n) on the
+       Hermite levels.  Both contract the mean square.  On the levels of one
+       pair, with any y, this map gives w' = w exp(-c delta^2/2 - delta y)
+       and y' = r (y + c delta), as S does, and such levels span a dense
+       set, so S is this map: ||S|| <= 1, and Pi is an orthogonal projection
+       in this norm.
+    4. Telescoping.  e_k = u_k - u~_k has e_0 = 0 and
+       e_(k+1) = (1 - Pi) u_(k+1) + Pi S e_k, so
+       ||e_k|| <= sum_(j=1..k) ||(1 - Pi) u_j||.  Level 0 has weight 1, so the
+       level-0 error has trace norm at most sqrt(d) ||e_k||.
+    5. Cauchy.  With a_j = c r^(k-j), y = a.D, so for complex s,
+       f(s) = sum_n s^n rho^(n)_k = sum_ab w exp(s y) |v_a><v_b| is the noise
+       average of V psi_0 psi_0^dag W^dag, with V and W the evolutions kicked
+       by exp(i xi_j X) exp(s a_j X) and exp(i xi_j X) exp(-s* a_j X).  The
+       norms of those two factors multiply to at most exp(|s| a_j Dmax), so
+       ||f(s)||_1 <= exp(|s| Y_k) with Y_k = c Dmax sum_(i=1..k) r^i, and on
+       the circle |s| = n / Y_k,
+           ||rho^(n)_k||_HS <= ||rho^(n)_k||_1 <= (e Y_k / n)^n.
+    6. The tail.  Hence ||(1 - Pi) u_k||^2 <= sum_(l>N) t_l with
+       t_l = l! (e^2 x_k / l^2)^l, x_k = Y_k^2 / c.  The ratio
+       t_(l+1) / t_l = e^2 x_k / (l + 1) (1 + 1/l)^(-2l) falls with l, so
+       with q its value at l = N + 1 the sum is at most t_(N+1) / (1 - q)
+       when q < 1, and no bound otherwise.
+    7. Normalization.  tr rho^(0)_k = 1, so a level-0 error of trace norm
+       eta = sqrt(d) sum_(k=1..steps) ||(1 - Pi) u_k|| moves every
+       normalized state by at most 2 eta / (1 - eta), which is returned
+       (inf when eta >= 1).
 
     The bound covers truncation in exact arithmetic; rounding adds a few
-    ulps per step, as in the memory-window transfer.
-
-    The sums over a step's pairs and levels are products of fixed
-    (DEPTH_CAP + 1)-square matrices, so the bound takes O(m^2 DEPTH_CAP^3)
-    and never reads t.  Numbers past the float range end in an inf or nan
-    bound, which certifies nothing.
+    ulps per step, as in the memory-window transfer.  It takes O(steps
+    DEPTH_CAP) and is evaluated in logs, so an underflowing r^k or a zero
+    spread gives x_k = 0 (depth 0) and a value past the float range gives
+    inf (no depth), with no floating-point warning.
     """
-    if A.ar1 is None:
-        return None
-    c, r = A.ar1
-    x = eig.eigenvalues.tolist()
-    gaps = sorted({abs(a - b) for a in x for b in x} - {0.0})  # the distinct |delta| > 0
-    size = DEPTH_CAP + 1
-    if not gaps:
-        return np.zeros(size)
-    upper = _LAG[:size, :size] <= 0  # [n, N]: n <= N
+    levels = _LEVELS[1:].astype(float)  # l = N + 1
     with np.errstate(all="ignore"):
-        Y = c * gaps[-1] * np.sum(r ** np.arange(1, steps))
-        weights = (_LEVEL_SCALES / gaps[-1])[:, None] ** _LEVELS[:size]  # [s, n] = s^n
-        tail_free = _shift(Y, size)[:, 0]  # Y^i / i!
-        tau = np.zeros((size, size))  # [n, N]
-        norm = np.ones((_LEVEL_SCALES.size, size))  # [s, N]
-        for delta in gaps:
-            T = np.abs(_taylor_matrix(delta, c, r, size))
-            rows = np.cumsum(T * weights[:, None, :], axis=2) / weights[:, :, None]
-            norm = np.maximum(norm, np.where(upper, rows, 0.0).max(axis=1))
-            xd = delta * Y
-            tail = _shift(xd, size + 1)[1:, :size].T  # [i, N] = xd^(N+1-i) / (N+1-i)!
-            res = (np.exp(xd - 0.5 * c * delta * delta) * r ** _LEVELS[:size, None]) * (
-                (_shift(c * delta, size) * tail_free) @ tail)
-            tau = np.maximum(tau, np.where(upper, res, 0.0))
-        tau_s = np.max(tau[None] / weights[:, :, None], axis=1)
-        log_norm = np.log(norm)
-        growth = np.where(log_norm > 0, np.expm1(steps * log_norm) / np.expm1(log_norm), steps)
-        return np.fmin.reduce(np.where(tau_s > 0, tau_s * growth, 0.0), axis=0)
+        memory = np.cumsum(r ** np.arange(1, steps + 1))  # Y_k / (c Dmax), k = 1 .. steps
+        log_x = np.log(c) + 2.0 * np.log(spread * memory)[:, None]  # log(Y_k^2 / c)
+        log_t = np.cumsum(np.log(levels)) + levels * (2.0 + log_x - 2.0 * np.log(levels))
+        q = np.exp(2.0 + log_x - np.log(levels + 1.0) - 2.0 * levels * np.log1p(1.0 / levels))
+        tails = np.where(q < 1.0, np.exp(log_t) / (1.0 - q), np.inf)
+        eta = math.sqrt(dim) * np.sum(np.sqrt(tails), axis=0)
+        return np.where(eta < 1.0, 2.0 * eta / (1.0 - eta), np.inf)
 
 
-def _path_capacity(bounds: np.ndarray) -> list[float]:
-    """Entry N: the log of the path count below which some depth <= N keeps
-    every normalized state within _TRUNCATION_TOL in trace norm.  With P
-    surviving paths and eta = P bounds[N], the state moves by at most
-    2 eta / (1 - eta), under tol when eta < tol / (2 + tol); a nan bound
-    certifies nothing.  Nondecreasing, so _certified_depth bisects it.
-    """
-    with np.errstate(divide="ignore"):
-        need = math.log(_TRUNCATION_TOL / (2.0 + _TRUNCATION_TOL)) - np.log(bounds)
-    return np.maximum.accumulate(np.where(np.isnan(need), -np.inf, need)).tolist()
-
-
-def _certified_depth(capacity: list[float], log_paths: float) -> int | None:
-    """Least depth certified for exp(log_paths) surviving paths, or None when
-    no depth up to DEPTH_CAP is."""
-    depth = bisect.bisect_right(capacity, log_paths)
-    return depth if depth < len(capacity) else None
+def _certified_depth(c: float, r: float, spread: float, steps: int, dim: int) -> int | None:
+    """Least depth N <= DEPTH_CAP whose truncation bound (_truncation_bounds)
+    is under _TRUNCATION_TOL and whose (N + 1) dim^2 level entries fit
+    BLOCK_BUDGET, or None when there is none."""
+    fits = _truncation_bounds(c, r, spread, steps, dim)[:BLOCK_BUDGET // (dim * dim)]
+    certified = np.flatnonzero(fits < _TRUNCATION_TOL)
+    return int(certified[0]) if certified.size else None
 
 
 def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
@@ -565,7 +548,8 @@ def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     Each step maps pair (alpha, beta)'s split of the levels by the fixed
     matrix T^(x_alpha - x_beta) of _taylor_matrix and sums the pairs;
     rho^(0) is the unnormalized reduced state.  Levels above ``depth`` are
-    dropped, with the error bounded in _truncation_bounds.
+    dropped; _truncation_bounds proves, from the step's contraction in a
+    weighted level norm, how far that moves every state.
 
     Either way each step applies the free unitary on both sides and splits
     every block by the step's projectors P_a . P_b in two matrix products.
@@ -623,40 +607,31 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     _transfer_states, which carries the sum forward either over the last L
     steps of a bandwidth-L kernel (exact; it may run when _transfer_work
     allows it, at work n * m^(2L+2) * d^2) or, for an exponential kernel,
-    as Taylor levels 0 .. N (at work n * m^2 * (N+1)^2 * d^2, when some
-    N <= DEPTH_CAP is certified by _truncation_bounds for the surviving
-    paths and its (N+1) d^2 level entries fit BLOCK_BUDGET).  The path sum
-    costs sum_k P_k^2 * k, since each of the P_k^2 pairs after k steps (P_k
-    surviving paths) also costs a k-long exponent row, and past the path
-    budget, or once sum_k P_k^2 up to t passes the pair budget, it cannot
-    run; the walk checks both as it goes, so a grid no route can run is
-    refused at the step the pair budget passes.  N is first set for all m^n
-    histories surviving.
+    as Taylor levels 0 .. N (at work n * m^2 * (N+1)^2 * d^2, at the least
+    N <= DEPTH_CAP that _certified_depth finds from the kernel's (c, r), the
+    spread of the coupling eigenvalues, n and d alone, fixed before the
+    walk).  The path sum costs sum_k P_k^2 * k, since each of the P_k^2
+    pairs after k steps (P_k surviving paths) also costs a k-long exponent
+    row, and past the path budget, or once sum_k P_k^2 up to t passes the
+    pair budget, it cannot run; the walk checks both as it goes, so a grid
+    no route can run is refused at the step the pair budget passes.
     When a transfer may run, the walk covers the whole grid, prices itself
-    as it goes and stops once it costs more than the cheaper transfer; after
-    k of the grid's n steps P_k m^(n-k) bounds the paths that survive the
-    grid, which may lower N.  The choice reads only the model, that walk
-    and the whole-grid A, never t, so every t takes the same route and
-    depth.
+    as it goes and stops once it costs more than the cheaper transfer.  The
+    choice reads only the model, that walk and the whole-grid A, never t,
+    so every t takes the same route and depth.
     """
     eig = eigendecompose_coupling(model)
     steps = len(grid.window_before(t))
     n, m, d = grid.n_steps, eig.count, model.dim
-    band, band_work = _transfer_work(eig, A, d, n)
-    bounds = _truncation_bounds(eig, A, n)
-    # Only depths whose (N + 1) d^2 level entries fit the block budget.
-    capacity = [] if bounds is None else _path_capacity(bounds)[:BLOCK_BUDGET // (d * d)]
-
-    def cheaper(log_paths: float) -> tuple[int | None, int | None]:
-        """The depth of the levels (None for the window) and the work of the
-        cheaper transfer, for at most exp(log_paths) surviving paths."""
-        depth = _certified_depth(capacity, log_paths)
-        levels = None if depth is None else n * m * m * (depth + 1) ** 2 * d * d
-        if levels is not None and (band_work is None or levels < band_work):
-            return depth, levels
-        return None, band_work
-
-    depth, work = cheaper(n * math.log(m))  # every history surviving
+    band, work = _transfer_work(eig, A, d, n)
+    depth = None if A.ar1 is None else _certified_depth(
+        *A.ar1, float(np.ptp(eig.eigenvalues)), n, d)
+    if depth is not None:
+        levels = n * m * m * (depth + 1) ** 2 * d * d
+        if work is None or levels < work:
+            work = levels
+        else:
+            depth = None
     prefixes, pairs, cost = [], 0, 0.0
     try:
         # The walk checks both budgets as it goes, before any pair sum.
@@ -668,19 +643,15 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
                 pairs += amps.shape[0] ** 2
                 _check_pairs(pairs)
             cost += amps.shape[0] ** 2 * k
-            if work is not None:
-                # P_k m^(n-k) bounds the paths that survive the whole grid.
-                depth, work = cheaper(math.log(amps.shape[0]) + (n - k) * math.log(m))
-                if cost > work:
-                    break
+            if work is not None and cost > work:
+                break
     except PathBudgetExceeded:
         if work is None:
             raise
         cost = np.inf
     if work is not None and cost > work:
         return _transfer_states(model, A, grid, eig, band, steps, depth)
-    return [_conditional(PathEnsemble(hist, amps, eig.eigenvalues,
-                                      eig.eigenvalues[hist.astype(int)]),
+    return [_conditional(PathEnsemble(hist, amps, eig.eigenvalues),
                          A.submatrix(range(k)), np.zeros((k, k)), np.zeros(k), range(k))[0]
             for k, (amps, hist) in enumerate(prefixes, 1)]
 

@@ -213,7 +213,7 @@ def readout_derivatives(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: fl
     eigenvalue into every path."""
     window = grid.window_before(t)
     paths = build_paths(model, grid, window)
-    Xs = paths.eigenvalue_sequences
+    Xs = paths.eigenvalues[paths.histories]
     w = _path_weights(record.values[None, :], Xs, _path_quad(Xs, A.submatrix(window)))[0]
     return (Xs * w[:, None]).T @ paths.amplitudes
 
@@ -286,6 +286,7 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     A_w = A.submatrix(window)
     prior = readout_prior(KernelMatrix(window, A_w))
     paths = build_paths(model, grid, window)
+    Xs = paths.eigenvalues[paths.histories]
     last_row = 2.0 * A_w[-1, :]
 
     rng = _generator(seed, _STREAM_ENSEMBLE)
@@ -296,7 +297,7 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     for lo in range(0, n_samples, _ENSEMBLE_CHUNK):
         hi = min(lo + _ENSEMBLE_CHUNK, n_samples)
         z = prior.sample(hi - lo, rng)
-        psi, coupling = _evaluate(z, paths.eigenvalue_sequences, paths.amplitudes, A_w)
+        psi, coupling = _evaluate(z, Xs, paths.amplitudes, A_w)
         w = np.einsum("si,si->s", psi, psi.conj()).real
         weights[lo:hi] = w
         num += psi.T @ psi.conj()

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +46,7 @@ def test_build_paths_single_step_plus_state():
     grid = nt.TimeGrid(epsilon=0.1, n_steps=1)
     paths = nt.build_paths(model, grid, range(0, 1))
     assert paths.count == 2
-    amps = {round(x, 12): v for x, v in zip(paths.eigenvalue_sequences[:, 0],
+    amps = {round(x, 12): v for x, v in zip(paths.eigenvalues[paths.histories[:, 0]],
                                             paths.amplitudes)}
     assert np.allclose(amps[1.0], [1 / np.sqrt(2), 0.0], atol=1e-15)
     assert np.allclose(amps[-1.0], [0.0, 1 / np.sqrt(2)], atol=1e-15)
@@ -68,7 +67,7 @@ def test_build_paths_commuting_support():
     paths = nt.build_paths(model, grid, grid.full_window)
     # Only the constant eigenvalue histories survive at any depth.
     assert paths.count == 2
-    assert np.all(paths.eigenvalue_sequences == paths.eigenvalue_sequences[:, :1])
+    assert np.all(paths.histories == paths.histories[:, :1])
 
 
 def test_build_paths_budget(default_model, monkeypatch):
@@ -90,11 +89,13 @@ def _budget_calls(model, grid):
 
 
 @pytest.mark.parametrize("call", ["build_paths", "reduced_states", "solve_unnormalized"])
-def test_walk_budget_raises_before_branching(default_model, call, monkeypatch):
+def test_walk_budget_raises_before_branching(call, monkeypatch):
     # A 40-step noncommuting request (2^40 histories) stops at the branching
-    # step that would pass the budget, having held at most 2048 paths.
+    # step that would pass the budget, having held at most 2048 paths.  At
+    # coupling 3 sigma_z no Taylor depth is certified, so the reduced states
+    # have no route but the walk.
     monkeypatch.setattr(chain, "PATH_BUDGET", 4000)
-    run = _budget_calls(default_model, nt.TimeGrid(epsilon=0.1, n_steps=40))[call]
+    run = _budget_calls(_qubit_coupled(3.0), nt.TimeGrid(epsilon=0.1, n_steps=40))[call]
     tracemalloc.start()
     try:
         with pytest.raises(PathBudgetExceeded, match="^2048 surviving paths x 2 levels"):
@@ -105,17 +106,18 @@ def test_walk_budget_raises_before_branching(default_model, call, monkeypatch):
     assert peak < 4 * 2 ** 20
 
 
-def test_reduced_walk_refuses_at_the_pair_budget(default_model):
-    # 40 noncommuting steps on an exponential kernel: no Taylor depth is
-    # certified and the window transfer's blocks pass the block budget, so
-    # only the path sum could run.  Its pairs pass the pair budget at 2^15
-    # paths, where the walk refuses, short of the path budget's 2^20.
+def test_reduced_walk_refuses_at_the_pair_budget():
+    # 40 noncommuting steps on an exponential kernel at coupling 3 sigma_z: no
+    # Taylor depth is certified and the window transfer's blocks pass the
+    # block budget, so only the path sum could run.  Its pairs pass the pair
+    # budget at 2^15 paths, where the walk refuses, short of the path
+    # budget's 2^20.
     import time
     grid = nt.TimeGrid(epsilon=0.1, n_steps=40)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     start = time.monotonic()
     with pytest.raises(PathBudgetExceeded, match="path pairs exceed the pair budget"):
-        nt.reduced_states(default_model, A, grid, 4.0)
+        nt.reduced_states(_qubit_coupled(3.0), A, grid, 4.0)
     assert time.monotonic() - start < 0.1
 
 
@@ -185,7 +187,7 @@ def test_reduced_state_strong_coupling_matches_unshifted_pair_sum(A8, grid8, str
                          initial_state=np.array([1.0, 0.0], dtype=complex))
     rho = nt.reduced_states(model, A8, grid8, 0.8)[-1]
     paths = nt.build_paths(model, grid8, grid8.full_window)
-    delta = paths.eigenvalue_sequences[:, None, :] - paths.eigenvalue_sequences[None, :, :]
+    delta = paths.eigenvalues[paths.histories][:, None, :] - paths.eigenvalues[paths.histories][None, :, :]
     W = np.exp(-0.5 * np.einsum("abk,kl,abl->ab", delta, A8.entries, delta))
     num = paths.amplitudes.T @ W @ paths.amplitudes.conj()
     expected = num / np.trace(num).real
@@ -312,11 +314,11 @@ def test_route_choice(case, transfer, default_model, monkeypatch):
     # the pair sum far cheaper than the transfer.  Under the two-step kernel
     # the commuting qubit's two paths cost sum_k 4k = 29040 on 120 steps, more
     # than the transfer's 120 * 2^4 * 4 = 7680.  The noncommuting exponential
-    # kernels take the Taylor levels (a depth is passed) at depth 20 (qubit,
-    # 2048 paths) and 17 (qutrit, 2187); long-exp certifies no depth for all
-    # 2^120 histories, so its two paths keep the pair sum, as do those of
-    # verify's dephasing grids (t = 0.8), and 3 sigma_z on 10 steps certifies
-    # no depth at all.
+    # kernels take the Taylor levels (a depth is passed) at depth 27 (qubit)
+    # and 23 (qutrit); long-exp certifies depth 29, but its two paths cost
+    # less than 120 * 4 * 30^2 * 4 level entries, so they keep the pair sum, as
+    # do those of verify's dephasing grids (t = 0.8), and 3 sigma_z on 10
+    # steps certifies no depth at all.
     dephasing = nt.dephasing_qubit(omega=0.7)
     model, kernel, eps, steps = {
         "qubit-tab": (default_model, _tab((0.5, 0.2, 0.0)), 0.1, 11),
@@ -337,12 +339,12 @@ def test_route_choice(case, transfer, default_model, monkeypatch):
         assert chain._transfer_work(eig, A, model.dim, steps) == (6, steps * 2 ** 14 * 4)
     runs = _routed(model, A, grid, monkeypatch)[1]
     assert len(runs) == int(transfer)
-    depth = {"qubit-exp": 20, "qutrit-exp": 17}.get(case)
+    depth = {"qubit-exp": 27, "qutrit-exp": 23}.get(case)
     assert [args[-1] for args in runs] == ([depth] if transfer else [])
 
 
-def test_uncertified_grid_walks_only_to_t(default_model, monkeypatch):
-    # No depth is certified for the 2^40 histories of a 40-step qubit, and the
+def test_uncertified_grid_walks_only_to_t(monkeypatch):
+    # No depth is certified for a 40-step qubit at coupling 3 sigma_z, and the
     # memory window cannot hold its bandwidth, so no transfer may run and the
     # walk stops at t instead of walking the grid to the path budget.
     walks = []
@@ -355,7 +357,7 @@ def test_uncertified_grid_walks_only_to_t(default_model, monkeypatch):
     monkeypatch.setattr(chain, "_walk_paths", counting)
     grid = nt.TimeGrid(epsilon=0.1, n_steps=40)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
-    states = nt.reduced_states(default_model, A, grid, 0.5)
+    states = nt.reduced_states(_qubit_coupled(3.0), A, grid, 0.5)
     assert walks == [5] and len(states) == 5
 
 def test_exponent_increments_sum_to_the_pair_exponent():
@@ -443,10 +445,9 @@ def _levels(model, A, grid, depth):
 
 
 def _depth_for(model, A, grid):
-    """Certified depth for every history surviving, m^n paths."""
-    eig = nt.eigendecompose_coupling(model)
-    capacity = chain._path_capacity(chain._truncation_bounds(eig, A, grid.n_steps))
-    return chain._certified_depth(capacity, grid.n_steps * np.log(eig.count))
+    """Certified depth of the grid's exponential kernel for the model."""
+    spread = float(np.ptp(nt.eigendecompose_coupling(model).eigenvalues))
+    return chain._certified_depth(*A.ar1, spread, grid.n_steps, model.dim)
 
 
 @pytest.mark.parametrize("case", ["rate-0.5", "rate-1", "rate-5", "qutrit", "degenerate",
@@ -465,7 +466,7 @@ def test_taylor_levels_match_the_path_sum(case, default_model, monkeypatch):
     routed, runs = _routed(model, A, grid, monkeypatch)
     path_sum = _path_sum(model, A, grid, monkeypatch)
     # The commuting qubit's two paths keep it on the path sum; the levels are
-    # run on it directly at the depth certified for all 2^12 histories.
+    # run on it directly at its certified depth.
     assert len(runs) == int(case != "dephasing")
     depth = _depth_for(model, A, grid)
     assert depth is not None and [args[-1] for args in runs] in ([], [depth])
@@ -476,64 +477,27 @@ def test_taylor_levels_match_the_path_sum(case, default_model, monkeypatch):
         assert np.max(np.abs(forced.matrix - ref.matrix)) <= 1e-12
 
 
-def _decimal_taylor(delta, c, r, size):
-    """T^delta of chain._taylor_matrix in the current decimal context."""
-    delta, c, r = Decimal(delta), Decimal(c), Decimal(r)
-    front = (-c * delta * delta / 2).exp()
-    T = np.empty((size, size), dtype=object)
-    for n in range(size):
-        for l in range(size):
-            T[n, l] = front * r ** n * sum(
-                math.comb(l, i) * (c * delta) ** (n - i) / math.factorial(n - i) * (-delta) ** (l - i)
-                for i in range(min(n, l) + 1))
-    return T
-
-
-@pytest.mark.parametrize("eps, rate", [(0.1, 1.0), (0.01, 1.0), (0.1, 5.0)])
-@pytest.mark.parametrize("steps", [11, 120])
-def test_truncation_bound_dominates_the_scalar_error(eps, rate, steps, default_model):
-    # One history pair of the sigma_z qubit (differences 0, +-2) run through
-    # the truncated scalar recursion in 120-digit arithmetic, against its exact
-    # weight exp(-D.A.D/2) with A_ij = c r^|i-j| in the same arithmetic; the
-    # bounds reach 1e-93 (N = 24, eps = 0.01, 11 steps).
-    grid = nt.TimeGrid(epsilon=eps, n_steps=steps)
-    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
-    c, r = A.ar1
-    bounds = chain._truncation_bounds(nt.eigendecompose_coupling(default_model), A, steps)
-    top = 25
-    with localcontext() as ctx:
-        ctx.prec = 120
-        T = {d: _decimal_taylor(d, c, r, top) for d in (2.0, -2.0)}
-        _check_scalar_errors(T, c, r, steps, bounds, top)
-
-
-def _check_scalar_errors(T, c, r, steps, bounds, top):
-    for deltas in ([2.0] * steps, [-2.0] * steps, [2.0, -2.0] * (steps // 2) + [2.0] * (steps % 2)):
-        y, exponent = Decimal(0), Decimal(0)
-        for d in map(Decimal, deltas):
-            exponent -= Decimal(c) * d * d / 2 + d * y
-            y = Decimal(r) * (y + Decimal(c) * d)
-        exact = exponent.exp()
-        for N in range(4, top, 1 if steps < 100 else 2):  # every other depth on long runs
-            u = np.array([Decimal(1)] + [Decimal(0)] * N, dtype=object)
-            for d in deltas:
-                u = T[d][:N + 1, :N + 1].dot(u)
-            assert abs(u[0] - exact) <= Decimal(float(bounds[N]))
+def _bounds_for(model, A, steps):
+    spread = float(np.ptp(nt.eigendecompose_coupling(model).eigenvalues))
+    return chain._truncation_bounds(*A.ar1, spread, steps, model.dim)
 
 
 def test_truncation_bound_dominates_the_matrix_error(default_model, monkeypatch):
-    # The 8-step default qubit at depths the bound does not certify, where the
-    # truncation error (1e-12 to 6e-8) stands above rounding: the normalized
-    # states stay within 2 eta / (1 - eta), eta = 2^8 bounds[N].
-    grid = nt.TimeGrid(epsilon=0.1, n_steps=8)
-    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
-    bounds = chain._truncation_bounds(nt.eigendecompose_coupling(default_model), A, 8)
-    path_sum = _path_sum(default_model, A, grid, monkeypatch)
-    for depth in (5, 6, 7, 8):
-        eta = 2 ** 8 * bounds[depth]
-        errors = [np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - ref.matrix)))
-                  for rho, ref in zip(_levels(default_model, A, grid, depth), path_sum)]
-        assert eta < 1 and 1e-13 < max(errors) <= 2 * eta / (1 - eta)
+    # The default qubit at depths the bound does not certify, N = 5 .. 8 on
+    # 8 steps and 8 .. 11 on 11 steps, where the truncation error (3e-15 to
+    # 6e-8) is measured against the path sum in trace norm: every
+    # normalized state stays within the bound.
+    for steps, depths in ((8, range(5, 9)), (11, range(8, 12))):
+        grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
+        A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+        bounds = _bounds_for(default_model, A, steps)
+        path_sum = _path_sum(default_model, A, grid, monkeypatch)
+        worst = []
+        for depth in depths:
+            worst.append(max(np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - ref.matrix)))
+                             for rho, ref in zip(_levels(default_model, A, grid, depth), path_sum)))
+            assert worst[-1] <= bounds[depth] < 1
+        assert worst[0] > 1e-11  # a truncation error well above rounding
 
 
 def test_truncation_bound_refuses_the_tail_rule(default_model, monkeypatch):
@@ -545,39 +509,79 @@ def test_truncation_bound_refuses_the_tail_rule(default_model, monkeypatch):
     c, r = A.ar1
     y = 2.0 * c * r / (1.0 - r)
     assert [N for N in range(chain.DEPTH_CAP) if y ** (N + 1) / math.factorial(N + 1) < 1e-14][0] == 8
-    eig = nt.eigendecompose_coupling(default_model)
-    bounds = chain._truncation_bounds(eig, A, 11)
-    assert 2 * 2 ** 11 * bounds[8] > 1e-14
-    assert _depth_for(default_model, A, grid) == 20
+    assert _bounds_for(default_model, A, 11)[8] > 1e-14
+    assert _depth_for(default_model, A, grid) == 27
     errors = [np.max(np.abs(rho.matrix - ref.matrix)) for rho, ref in
               zip(_levels(default_model, A, grid, 8), _path_sum(default_model, A, grid, monkeypatch))]
     assert max(errors) > 1e-11
 
 
+@pytest.mark.parametrize("rate, eps, steps, strength, dim, depth", [
+    (1.0, 0.1, 11, 1.0, 2, 27), (1.0, 0.1, 7, 1.0, 3, 23), (1e3, 0.1, 8, 1.0, 2, 0),
+    (1.0, 0.1, 8, 10.0, 2, None), (1e-3, 0.1, 2000, 1.0, 2, None),
+    (1.0, 0.1, 2000, 1.0, 2, 40), (1.0, 0.01, 2000, 1.0, 2, 41)],
+    ids=["qubit-11", "qutrit-7", "rate-1e3", "10-sigma-z", "rate-1e-3-long", "qubit-2000",
+         "qubit-2000-eps-0.01"])
+def test_certified_depth_reads_only_the_kernel_and_coupling(rate, eps, steps, strength, dim,
+                                                            depth, monkeypatch):
+    # The depth is a function of (c, r, Dmax, n, d) alone: no walk, no path
+    # count, and (c, r) read off a 2-step grid.  Coupling eigenvalues
+    # +-strength (Dmax = 2 strength); the qutrit is the benchmark's, with
+    # eigenvalues -1, 0, 1.
+    monkeypatch.setattr(chain, "_walk_paths", lambda *_: pytest.fail("the depth walked"))
+    c, r = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), nt.TimeGrid(eps, 2)).ar1
+    assert chain._certified_depth(c, r, 2.0 * strength, steps, dim) == depth
+
+
 @pytest.mark.parametrize("case", ["10-sigma-z", "rate-1e-3", "rate-1e-3-long", "rate-1e3"])
 def test_truncation_bound_at_extreme_kernels(case, monkeypatch):
     # pytest turns RuntimeWarnings into errors, so none of these may overflow
-    # or divide by zero out loud.  A strong coupling certifies no depth; a
-    # slow kernel (r -> 1) certifies a low one on a short grid and none on a
-    # long one; a fast kernel (r -> 0) leaves no memory, so depth 0.
+    # or divide by zero out loud (at rate 1e3, r^k underflows).  A strong
+    # coupling certifies no depth; a slow kernel (r -> 1) certifies a low one
+    # on a short grid and none on a long one; a fast kernel (r -> 0) leaves no
+    # memory, so depth 0.
     model, rate, steps, depth = {
         "10-sigma-z": (_qubit_coupled(10.0), 1.0, 8, None),
-        "rate-1e-3": (_qubit_coupled(1.0), 1e-3, 8, 5),
+        "rate-1e-3": (_qubit_coupled(1.0), 1e-3, 8, 8),
         "rate-1e-3-long": (_qubit_coupled(1.0), 1e-3, 2000, None),
         "rate-1e3": (_qubit_coupled(1.0), 1e3, 8, 0),
     }[case]
     grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
-    eig = nt.eigendecompose_coupling(model)
-    bounds = chain._truncation_bounds(eig, A, steps)
-    assert bounds.shape == (chain.DEPTH_CAP + 1,)
-    assert chain._certified_depth(chain._path_capacity(bounds), steps * np.log(2)) == depth
+    assert _bounds_for(model, A, steps).shape == (chain.DEPTH_CAP + 1,)
+    assert _depth_for(model, A, grid) == depth
     assert np.all(np.isfinite(chain._taylor_matrix(20.0, *A.ar1, chain.DEPTH_CAP + 1)))
     if steps <= 8:
         routed, runs = _routed(model, A, grid, monkeypatch)
         assert [args[-1] for args in runs] == ([] if depth is None else [depth])
         for rho, ref in zip(routed, _path_sum(model, A, grid, monkeypatch)):
             assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [_qubit_coupled(1.0), _qubit_coupled(3.0), _qubit_coupled(10.0),
+                                   _bench_qutrit(), _degenerate_qutrit()],
+                         ids=["sigma-z", "3-sigma-z", "10-sigma-z", "qutrit", "degenerate"])
+@pytest.mark.parametrize("rate", [1.0, 100.0])
+@pytest.mark.parametrize("depth", [5, 12])
+def test_truncated_step_contracts_in_the_level_norm(model, rate, depth):
+    # One step of the hierarchy, levels 0 .. depth of d x d blocks, as a
+    # matrix: level n of the new blocks is sum_(alpha, beta, l)
+    # T^(x_alpha - x_beta)_nl P_alpha U rho^(l) U^dag P_beta.  In the norm
+    # sum_n n! c^-n ||rho^(n)||_HS^2 its spectral norm is at most 1, the
+    # contraction _truncation_bounds proves.
+    c, r = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), nt.TimeGrid(0.1, 2)).ar1
+    eig = nt.eigendecompose_coupling(model)
+    U, d, size = nt.free_step(model, 0.1), model.dim, depth + 1
+    step = np.zeros((size, d, d, size, d, d), dtype=complex)
+    for xa, Pa in zip(eig.eigenvalues, eig.projectors):
+        for xb, Pb in zip(eig.eigenvalues, eig.projectors):
+            split = np.einsum("ip,qj->ijpq", Pa @ U, U.conj().T @ Pb)
+            step += np.einsum("nl,ijpq->nijlpq", chain._taylor_matrix(xa - xb, c, r, size), split)
+    n = np.arange(size)
+    scale = np.sqrt(np.array([math.factorial(k) for k in n], dtype=float) * c ** -n.astype(float))
+    weighted = step * (scale[:, None, None, None, None, None] / scale[None, None, None, :, None, None])
+    norm = np.linalg.norm(weighted.reshape(size * d * d, size * d * d), 2)
+    assert 0.99 < norm <= 1.0 + 1e-13
 
 
 # ------------------------------------------------------ pointer readout
@@ -717,7 +721,7 @@ def _dense_pointer_terms(model, A, grid, k):
     paths = nt.build_paths(model, grid, range(k))
     A_w, A_wu = A.entries[:k, :k], A.entries[:k, k:]
     C = A_wu @ np.linalg.solve(A.entries[k:, k:], A_wu.T) if k < A.size else np.zeros((k, k))
-    return paths.eigenvalue_sequences, paths.amplitudes, A_w - C, C
+    return paths.eigenvalues[paths.histories], paths.amplitudes, A_w - C, C
 
 
 def _dense_pointer_state(model, A, grid, k, x):
@@ -922,7 +926,7 @@ def _dense_delayed_state(model, A, grid, t, delay, rec):
     dense C = A_w - M, no entry of it assumed zero, and M, h from solves."""
     window, read = grid.window_before(t), grid.window_before(t - delay)
     paths = nt.build_paths(model, grid, window)
-    X, v = paths.eigenvalue_sequences, paths.amplitudes
+    X, v = paths.eigenvalues[paths.histories], paths.amplitudes
     A_w, A_rr, G = A.submatrix(window), A.submatrix(read), A.block(read, window)
     gain = np.linalg.solve(A_rr, np.hstack([G, rec.values[:, None]]))  # A_rr^-1 [G, z]
     M, h = G.T @ gain[:, :-1], G.T @ gain[:, -1]

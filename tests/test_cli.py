@@ -269,6 +269,57 @@ def test_evolve_past_the_pair_budget_on_an_exponential_kernel(tmp_path, monkeypa
     assert max(np.max(np.abs(rho - ref.matrix)) for rho, ref in zip(rhos, reference)) <= 1e-12
 
 
+def _noise_average(model, c, r, eps, steps, samples, seed):
+    """Mean and standard errors (real and imaginary parts) of the state after
+    ``steps`` kicked unitary evolutions psi -> exp(i xi_k X) U psi over
+    unit-weight samples of the stationary AR(1) noise xi (variance c,
+    lag-one correlation r), whose covariance is the exponential kernel matrix
+    A_ij = c r^|i-j|: an oracle for the reduced state independent of the
+    chain, since exp(-D.A.D/2) is the noise average of exp(i xi.D)."""
+    rng = np.random.default_rng(seed)
+    x, V = np.linalg.eigh(model.coupling)
+    U = V.conj().T @ nt.free_step(model, eps) @ V  # the step in the coupling's eigenbasis
+    psi = np.repeat((V.conj().T @ model.initial_state)[:, None], samples, axis=1)
+    xi = rng.normal(scale=np.sqrt(c), size=samples)
+    for _ in range(steps):
+        phase = np.outer(x, xi)
+        psi = (np.cos(phase) + 1j * np.sin(phase)) * (U @ psi)
+        xi = r * xi + np.sqrt(c * (1.0 - r * r)) * rng.standard_normal(samples)
+    psi = V @ psi  # back to the computational basis, one column per sample
+    outer = psi[:, None, :] * psi[None, :, :].conj()
+    return outer.mean(axis=2), [part(outer).std(axis=2) / np.sqrt(samples)
+                                for part in (np.real, np.imag)]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_evolve_2000_steps_on_an_exponential_kernel(tmp_path, monkeypatch, eps):
+    # The default exponential config on 2000 noncommuting steps: the Taylor
+    # hierarchy carries every row at its certified depth (40 at eps 0.1, 41
+    # at eps 0.01).  The first 12 rows are checked against the path sum on a
+    # 12-step grid and, at the default step, the last against a
+    # 20,000-sample noise average.
+    import time
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", grid={"epsilon": eps, "n_steps": 2000},
+                        output={"directory": str(out), "format": "csv"})
+    start = time.monotonic()
+    assert _run(["evolve", "--config", cfg]) == 0
+    assert time.monotonic() - start < 2.0
+    rhos = _valid_evolve_states(out / "evolve.csv", 2000)
+    model, kernel = nt.default_qubit(), nt.ExponentialKernel(rate=1.0)
+    grid = nt.TimeGrid(epsilon=eps, n_steps=12)
+    A = nt.build_kernel_matrix(kernel, grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "BLOCK_BUDGET", 0)
+        reference = nt.reduced_states(model, A, grid, grid.n_steps * eps)
+    assert max(np.max(np.abs(rho - ref.matrix)) for rho, ref in zip(rhos, reference)) <= 1e-12
+    if eps != 0.1:
+        return
+    mean, errors = _noise_average(model, *A.ar1, eps, 2000, 20000, seed=2000)
+    for part, se in zip((np.real, np.imag), errors):
+        assert np.all(np.abs(part(rhos[-1] - mean)) <= 5.0 * se + 1e-15)
+
+
 def test_evolve_long_grid_at_strong_coupling(tmp_path):
     # Coupling 10 sigma_z on 1000 steps: the whole-grid exponent bound would
     # be 20^2 * 999 * 0.005 = 1998, but each step's corner of the kernel
@@ -639,7 +690,7 @@ def test_overflowing_histories_add_nothing(tmp_path, capsys, monkeypatch, schedu
     conditional = chain._conditional
 
     def spy(paths, A_w, M, h, support):
-        Xs = paths.eigenvalue_sequences
+        Xs = paths.eigenvalues[paths.histories]
         XA, XM = Xs @ A_w, Xs @ M
         exponents.append(-0.5 * np.einsum("pk,pk->p", Xs, XA + XM) + Xs @ h)
         return conditional(paths, A_w, M, h, support)

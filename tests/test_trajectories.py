@@ -188,7 +188,7 @@ def test_ensemble_standard_errors_merge_chunks_exactly(default_model, A8, grid8)
     prior = readout_prior(A8)
     z = np.concatenate([prior.sample(min(_ENSEMBLE_CHUNK, n - lo), rng)
                         for lo in range(0, n, _ENSEMBLE_CHUNK)])
-    psi, coupling = _evaluate(z, paths.eigenvalue_sequences, paths.amplitudes, A8.entries)
+    psi, coupling = _evaluate(z, paths.eigenvalues[paths.histories], paths.amplitudes, A8.entries)
     w = np.einsum("si,si->s", psi, psi.conj()).real
     dev = np.einsum("si,sj->sij", psi, psi.conj()) - w[:, None, None] * est.rho.matrix
     expected = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0)) / np.sum(w)
