@@ -174,7 +174,9 @@ def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
     Raises KernelBudgetExceeded, before any allocation, if the grid needs
     more than KERNEL_ENTRY_BUDGET entries, and NotPositiveDefinite if the
     smallest eigenvalue falls below -PSD_RTOL times the spectral norm (the
-    signature of an invalid tabulated kernel).
+    signature of an invalid tabulated kernel).  Markov and exponential
+    matrices pass that test in closed form (see _ar1_is_psd) and skip the
+    dense eigenvalue check.
     """
     window = grid.full_window
     n = len(window)
@@ -185,7 +187,10 @@ def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
     eps = grid.epsilon
     ar1 = None
     if kernel.kind == "markov":
-        entries = (eps * kernel.g ** 2) * np.eye(n)
+        diagonal = eps * kernel.g ** 2
+        entries = diagonal * np.eye(n)
+        # A nonnegative diagonal: its eigenvalues are its entries.
+        proved = diagonal < np.inf
     else:
         idx = np.arange(n)
         # |i - j| keeps the matrix exactly symmetric and Toeplitz.
@@ -193,11 +198,48 @@ def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
         entries = eps ** 2 * kernel.alpha(lag)
         if kernel.kind == "exponential":
             ar1 = (eps ** 2 * (0.5 * kernel.rate), float(np.exp(-kernel.rate * eps)))
-    eigs = np.linalg.eigvalsh(entries)
-    norm = float(np.max(np.abs(eigs)))
-    min_eig = float(eigs[0])
-    if norm > 0.0 and min_eig < -PSD_RTOL * norm:
-        raise NotPositiveDefinite(
-            f"kernel matrix has eigenvalue {min_eig:.3e} below -{PSD_RTOL:.0e} * norm "
-            f"({norm:.3e}); the kernel is not positive semidefinite")
+        proved = ar1 is not None and _ar1_is_psd(ar1[0], kernel.rate)
+    if not proved:
+        eigs = np.linalg.eigvalsh(entries)
+        norm = float(np.max(np.abs(eigs)))
+        min_eig = float(eigs[0])
+        if norm > 0.0 and min_eig < -PSD_RTOL * norm:
+            raise NotPositiveDefinite(
+                f"kernel matrix has eigenvalue {min_eig:.3e} below -{PSD_RTOL:.0e} * norm "
+                f"({norm:.3e}); the kernel is not positive semidefinite")
     return KernelMatrix(window=window, entries=entries, ar1=ar1)
+
+
+def _ar1_is_psd(c: float, rate: float) -> bool:
+    """Whether the computed exponential matrix, c = eps^2 rate / 2, is proved
+    to pass the PSD test (smallest eigenvalue at least -PSD_RTOL ||A||_2)
+    without computing its spectrum.  The proof asks that c and rate / 2 lie
+    in [2^-960, 2^1000], far from underflow and overflow; outside it the
+    dense check runs.
+
+    The exact matrix T_ij = c r^|i - j|, r = exp(-rate eps) < 1, is the
+    Kac-Murdock-Szego matrix.  Its symbol c (1 - r^2) / (1 - 2 r cos w + r^2)
+    is at least c (1 - r) / (1 + r), so lambda_min(T) > 0 at every size.
+
+    The computed A = T + E.  Entry (i, j), with x = rate eps |i - j|, is
+    eps**2 * (rate / 2 * exp(-(rate * (eps * |i - j|)))): the exponent
+    carries two roundings (relative 2u + u^2, u = 2^-53), the rest at most
+    11u (exp within 4 ulp, three products), and on underflow every operation
+    errs by at most 2^-1072 absolute (4 subnormal ulp, for exp).  Hence
+      - where x <= 700, |E_ij| <= rho T_ij + tau with
+        rho = exp(700 (2u + u^2)) (1 + 11u) - 1 < 1.6e-13;
+      - where x > 700, T_ij and A_ij are both below 1e-304 c, plus tau;
+      - tau <= 2^-1071 (c + eps^2 + 1) <= 2^-1071 (1 + 2^961) c < 1e-33 c,
+        since eps^2 = c / (rate / 2) and both lie in the range above.
+    As ||E||_2 <= || |E| ||_2 and a nonnegative symmetric matrix has
+    ||F||_2 <= max row sum, ||E||_2 <= rho ||T||_2 + 2n (1e-304 + 1e-33) c,
+    below rho ||T||_2 + 1e-29 c over the n <= 4096 steps KERNEL_ENTRY_BUDGET
+    allows.  With ||T||_2 >= T_00 = c this is ||E||_2 <= rho' ||T||_2,
+    rho' < 1.6e-13 + 1e-29, and ||A||_2 >= (1 - rho') ||T||_2, so
+
+        lambda_min(A) >= lambda_min(T) - ||E||_2 > -rho' / (1 - rho') ||A||_2
+                      > -1.7e-13 ||A||_2,
+
+    about six times inside -PSD_RTOL ||A||_2 at every size in the budget.
+    """
+    return 2.0 ** -960 <= min(c, 0.5 * rate) and c <= 2.0 ** 1000

@@ -22,7 +22,11 @@ Derivatives of Psi with respect to a readout component are exact path sums
 feed both the finite-step residual of the stochastic equation of motion and
 its finite-difference oracle.  The boundary term at the current step is
 fixed by the discrete weight itself: Psi after k steps does not depend on
-z_k, so the equal-time derivative vanishes identically.
+z_k, so the equal-time derivative vanishes identically.  The trajectory
+solver and the ensemble read the derivatives along one kernel row b only,
+as Re <Psi | sum_j b_j dPsi/dz_j> = Re <Psi | sum_p w_p (X_p . b) v_p> with
+w_p the path weights, which the evaluator forms beside the states from the
+same block of weights.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ _STREAM_ENSEMBLE = 0x45
 _ENSEMBLE_CHUNK = 8192
 _MIN_EFFECTIVE_SAMPLES = 10.0
 #: Most path weights (records x paths) one evaluator block holds.  At 2^16
-#: the blocks' two buffers (0.5 MiB of weights, 1 MiB of their complex cast
-#: and overlaps) stay in cache, where 2^20 weights (8 to 16 MiB per buffer)
+#: the block's weights (0.5 MiB) stay in cache, where 2^20 weights (8 MiB)
 #: fault in fresh pages on every ensemble call.
 _WEIGHT_BLOCK = 2 ** 16
 #: Most floats an ensemble keeps per sample, summed over its samples: its
@@ -58,14 +61,14 @@ class Trajectory:
     initial state); ``norms[k]`` its norm.  ``retarded[k - 1]`` is the
     retarded readout after k steps: twice the kernel row of step k - 1
     against the conditional expectations of the record cut after k steps,
-    taken from the same walk.  The conditional expectation of the coupling
-    observable attached to step j is the normalized real overlap of the
-    state with its derivative in the step's readout component.  That
-    time-ordered reading is the one under which the readout-mean law is an
-    exact identity of the discrete weights (the bare operator transported to
-    the final time differs at first order in the kernel weights for
-    noncommuting models, and measurably fails the law); for commuting models
-    the two readings coincide.  For the exponential kernel the retarded
+    taken from the same walk as one contraction with that row.  The
+    conditional expectation of the coupling observable attached to step j is
+    the normalized real overlap of the state with its derivative in the
+    step's readout component.  That time-ordered reading is the one under
+    which the readout-mean law is an exact identity of the discrete weights
+    (the bare operator transported to the final time differs at first order
+    in the kernel weights for noncommuting models, and measurably fails the
+    law); for commuting models the two readings coincide.  For the exponential kernel the retarded
     readout is (eps times) the left-endpoint discretization of
     rate * integral exp(-rate (t - s)) <X_s> ds.
     """
@@ -136,34 +139,37 @@ def _path_weights(Z: np.ndarray, Xs: np.ndarray, quad: np.ndarray,
     return np.exp(W, out=W)
 
 
-def _evaluate(Z: np.ndarray, Xs: np.ndarray, amps: np.ndarray,
-              A_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States psi_s = sum_a W_sa v_a of the record rows of Z, and their
-    weighted couplings c_sj = Re sum_a W_sa X_aj <psi_s|v_a>, that is
-    Re <psi_s | d psi_s / d z_j>, so no record is divided by its weight.
+def _evaluate(Z: np.ndarray, Xs: np.ndarray, amps: np.ndarray, A_w: np.ndarray,
+              row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States psi_s = sum_a W_sa v_a of the record rows of Z, and the kernel
+    row's contraction with their weighted couplings,
 
-    Works in row blocks of at most _WEIGHT_BLOCK weights.  Every block is
-    written into the same two buffers, the weights and their complex cast
-    (which W @ amps would otherwise allocate), reused for the overlaps:
-    fresh block-sized arrays would go back to the allocator and be faulted
-    in again on every block.
+        sum_j row_j Re <psi_s | d psi_s / d z_j> = Re <psi_s | sum_a W_sa y_a v_a>,
+
+    with y = Xs @ row, so no record is divided by its weight.
+
+    Works in row blocks of at most _WEIGHT_BLOCK weights.  Each block takes
+    two real products of its weights, with v and with y v viewed as real
+    (paths x 2 dim): the first is written straight into the states, the
+    second into a buffer reused across blocks, like the weights, since fresh
+    block-sized arrays would go back to the allocator and be faulted in
+    again on every block.
     """
+    v = amps.view(float)
+    yv = (Xs @ row)[:, None] * v
     psi = np.empty((Z.shape[0], amps.shape[1]), dtype=complex)
-    coupling = np.empty(Z.shape)
+    contraction = np.empty(Z.shape[0])
     rows = max(1, _WEIGHT_BLOCK // amps.shape[0])
     quad = _path_quad(Xs, A_w)
     weights = np.empty((min(rows, Z.shape[0]), amps.shape[0]))
-    cast = np.empty(weights.shape, dtype=complex)
+    phi = np.empty((weights.shape[0], v.shape[1]))
     for lo in range(0, Z.shape[0], rows):
         hi = min(lo + rows, Z.shape[0])
         W = _path_weights(Z[lo:hi], Xs, quad, out=weights[:hi - lo])
-        W_complex = cast[:hi - lo]
-        W_complex[...] = W
-        psi[lo:hi] = W_complex @ amps
-        overlap = np.matmul(psi[lo:hi].conj(), amps.T, out=W_complex)
-        overlap *= W
-        coupling[lo:hi] = overlap.real @ Xs
-    return psi, coupling
+        block = np.matmul(W, v, out=psi[lo:hi].view(float))
+        # Re <psi|phi> is the real dot product of the two re/im float rows.
+        contraction[lo:hi] = np.einsum("sk,sk->s", block, np.matmul(W, yv, out=phi[:hi - lo]))
+    return psi, contraction
 
 
 def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
@@ -182,20 +188,22 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
     z = record.values
 
     states = np.empty((n + 1, model.dim), dtype=complex)
-    conds = []  # per prefix, conditional expectations times the squared norm
+    # Per prefix k >= 1, the retarded readout times the squared norm: the
+    # couplings contracted with the kernel row of step k - 1 (k = 0 has no
+    # row and its value is unused).
+    contractions = np.empty(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the norms below
         for k, (amps, hist) in enumerate(_walk_paths(model, grid, n, eig)):
-            psi, coupling = _evaluate(z[None, :k], eig.eigenvalues[hist.astype(int)], amps,
-                                      A_w[:k, :k])
+            row = 2.0 * A_w[k - 1, :k] if k else np.zeros(0)
+            psi, contraction = _evaluate(z[None, :k], eig.eigenvalues[hist.astype(int)], amps,
+                                         A_w[:k, :k], row)
             states[k] = psi[0]
-            conds.append(coupling[0])
-
-    norms = np.linalg.norm(states, axis=1)
+            contractions[k] = contraction[0]
+        norms = np.linalg.norm(states, axis=1)
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise DegenerateState("trajectory state norm overflowed or vanished; the record "
                               "values are out of the range this path sum can represent")
-    conds = [c / norms[k] ** 2 for k, c in enumerate(conds)]
-    retarded = np.array([2.0 * A_w[k - 1, :k] @ conds[k] for k in range(1, n + 1)])
+    retarded = contractions[1:] / norms[1:] ** 2
     return Trajectory(record=record, states=states, norms=norms, retarded=retarded)
 
 
@@ -297,15 +305,15 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
     for lo in range(0, n_samples, _ENSEMBLE_CHUNK):
         hi = min(lo + _ENSEMBLE_CHUNK, n_samples)
         z = prior.sample(hi - lo, rng)
-        psi, coupling = _evaluate(z, Xs, paths.amplitudes, A_w)
-        w = np.einsum("si,si->s", psi, psi.conj()).real
-        weights[lo:hi] = w
-        num += psi.T @ psi.conj()
         # Per sample, the projector entries and the readout-mean law's sides,
         # all times the weight: w z_{n-1}, c . 2 A_w[n-1, :] and their
         # difference, which carries the comparison, so shared Monte Carlo
         # fluctuations cancel and its standard error is that of the discrepancy.
-        estimated, predicted = w * z[:, -1], coupling @ last_row
+        psi, predicted = _evaluate(z, Xs, paths.amplitudes, A_w, last_row)
+        w = np.einsum("si,si->s", psi, psi.conj()).real
+        weights[lo:hi] = w
+        num += psi.T @ psi.conj()
+        estimated = w * z[:, -1]
         sides = np.stack([estimated, predicted, estimated - predicted], axis=1)
         sides_sum += np.sum(sides, axis=0)
         projectors = np.einsum("si,sj->sij", psi, psi.conj()).reshape(hi - lo, -1)

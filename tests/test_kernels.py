@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nmtraj as nt
-from nmtraj import KernelMatrix
+from nmtraj import KernelMatrix, kernels
 from nmtraj.errors import NotPositiveDefinite, SingularWindow
 from nmtraj.noise import GaussianDensity
 
@@ -88,6 +88,38 @@ def test_invalid_tabulated_kernel_raises():
     bad = nt.TabulatedKernel(lags=(0.0, 0.1, 0.2), values=(1.0, -1.2, 0.5))
     with pytest.raises(NotPositiveDefinite):
         nt.build_kernel_matrix(bad, grid)
+
+
+def _refuse_dense_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigvalsh called")
+    monkeypatch.setattr(kernels.np.linalg, "eigvalsh", refuse)
+
+
+@pytest.mark.parametrize("kernel", [nt.ExponentialKernel(rate=1.0), nt.ExponentialKernel(rate=1e-3),
+                                    nt.ExponentialKernel(rate=1e3), nt.MarkovDeltaKernel(g=0.7)])
+def test_closed_form_kernels_skip_the_dense_check(monkeypatch, kernel):
+    # Markov and exponential matrices are PSD in closed form
+    # (kernels._ar1_is_psd); a tabulated one still takes the dense check.
+    _refuse_dense_check(monkeypatch)
+    for eps, n in ((0.1, 1), (0.1, 12), (0.01, 300)):
+        A = nt.build_kernel_matrix(kernel, nt.TimeGrid(epsilon=eps, n_steps=n))
+        assert A.entries.shape == (n, n)
+    table = nt.TabulatedKernel(lags=(0.0, 0.1, 0.2), values=(1.0, 0.5, 0.0))
+    with pytest.raises(AssertionError, match="dense eigvalsh called"):
+        nt.build_kernel_matrix(table, nt.TimeGrid(epsilon=0.1, n_steps=12))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1])
+def test_exponential_matrices_pass_the_dense_check(eps):
+    # The closed form skips only what the dense check would pass.
+    for rate in 10.0 ** np.arange(-3, 4):
+        for n in (2, 17, 120, 400):
+            A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate),
+                                       nt.TimeGrid(epsilon=eps, n_steps=n))
+            assert kernels._ar1_is_psd(A.ar1[0], rate)
+            eigs = np.linalg.eigvalsh(A.entries)
+            assert eigs[0] >= -kernels.PSD_RTOL * np.max(np.abs(eigs))
 
 
 def test_tabulated_validation():

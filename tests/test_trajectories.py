@@ -37,6 +37,13 @@ def test_solve_dephasing_closed_form(A8, grid8):
     assert traj.final_state[1] == pytest.approx(dn, rel=1e-12)
 
 
+def test_solve_zero_steps_is_the_initial_state(default_model, A8, grid8):
+    rec = NoiseRecord(window=range(0, 0), values=np.zeros(0))
+    traj = nt.solve_unnormalized(default_model, A8, grid8, 0.0, rec)
+    assert np.array_equal(traj.states, default_model.initial_state[None, :])
+    assert traj.retarded.shape == (0,)
+
+
 def test_trajectory_invariants(default_model, A8, grid8):
     rec = nt.sample_readout_prior(A8, 1, seed=3)[0]
     traj = nt.solve_unnormalized(default_model, A8, grid8, 0.8, rec)
@@ -157,6 +164,24 @@ def test_ensemble_memory_is_bounded_by_the_weight_block(default_model, steps):
     assert peak < 4 * 2 ** 20
 
 
+def test_ensemble_evaluator_holds_no_complex_weight_block(default_model):
+    # 2000 samples over the 11-step qubit's 2048 histories: the evaluator
+    # holds one block of real weights and its rows x 4 dim product.  The
+    # bound is the peak measured when it also held the weights' complex cast
+    # (2,429,424 bytes at seeds 20 to 22); this evaluator peaks near 1.5 MB.
+    import tracemalloc
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=11)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    nt.ensemble_average(default_model, A, grid, 1.1, n_samples=2000, seed=20)
+    tracemalloc.start()
+    try:
+        nt.ensemble_average(default_model, A, grid, 1.1, n_samples=2000, seed=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_429_424
+
+
 def test_ensemble_memory_grows_by_one_float_per_sample(default_model):
     # Per sample the ensemble keeps only its weight; the standard errors of
     # the projectors and of the readout-mean sides come from per-chunk
@@ -188,12 +213,13 @@ def test_ensemble_standard_errors_merge_chunks_exactly(default_model, A8, grid8)
     prior = readout_prior(A8)
     z = np.concatenate([prior.sample(min(_ENSEMBLE_CHUNK, n - lo), rng)
                         for lo in range(0, n, _ENSEMBLE_CHUNK)])
-    psi, coupling = _evaluate(z, paths.eigenvalues[paths.histories], paths.amplitudes, A8.entries)
+    psi, predicted = _evaluate(z, paths.eigenvalues[paths.histories], paths.amplitudes,
+                               A8.entries, 2.0 * A8.entries[-1])
     w = np.einsum("si,si->s", psi, psi.conj()).real
     dev = np.einsum("si,sj->sij", psi, psi.conj()) - w[:, None, None] * est.rho.matrix
     expected = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0)) / np.sum(w)
     assert np.max(np.abs(est.rho_se - expected)) <= 1e-12 * np.max(expected)
-    estimated, predicted = w * z[:, -1], coupling @ (2.0 * A8.entries[-1])
+    estimated = w * z[:, -1]
     cmp = est.mean_readout
     for side, mean, se in ((estimated, cmp.estimated, cmp.estimated_se),
                            (predicted, cmp.predicted, cmp.predicted_se),
@@ -205,6 +231,74 @@ def test_ensemble_standard_errors_merge_chunks_exactly(default_model, A8, grid8)
 
 
 # ------------------------------------------------------------ mean readout
+
+
+def _reference_couplings(Z, Xs, amps, A_w):
+    """Per-step weighted couplings c_sj = Re sum_a W_sa X_aj <psi_s|v_a> of
+    every record row z_s, with W_sa = exp(z_s . X_a - X_a . A_w X_a) and
+    psi_s = sum_a W_sa v_a, formed whole: the coupling of every step, of
+    which the evaluator returns only one kernel row's contraction."""
+    W = np.exp(Z @ Xs.T - np.einsum("pk,pk->p", Xs, Xs @ A_w)[None, :])
+    psi = W.astype(complex) @ amps
+    return (W * (psi.conj() @ amps.T)).real @ Xs
+
+
+def _oracle_models():
+    rng = np.random.default_rng(123)
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    qutrit = nt.ModelSpec(dim=3, hamiltonian=0.5 * (M + M.conj().T),
+                          coupling=np.diag([-1.0, 0.0, 1.0]).astype(complex),
+                          initial_state=np.array([0.6, 0.48, 0.64], dtype=complex))
+    zero = nt.ModelSpec(dim=2, hamiltonian=nt.sigma_x(), coupling=np.zeros((2, 2)),
+                        initial_state=np.array([1.0, 0.0], dtype=complex))
+    return {"qubit": (nt.default_qubit(), 8), "qutrit": (qutrit, 6),
+            "dephasing": (nt.dephasing_qubit(omega=0.7), 8), "zero-coupling": (zero, 8)}
+
+
+@pytest.mark.parametrize("case", ["qubit", "qutrit", "dephasing", "zero-coupling"])
+def test_ensemble_predicted_side_matches_the_per_step_couplings(case):
+    # Every sample's predicted side, and the mean the estimate reports,
+    # against the whole coupling matrix contracted with 2 A_w[n - 1, :].
+    from nmtraj.noise import _generator, readout_prior
+    from nmtraj.trajectories import _ENSEMBLE_CHUNK, _STREAM_ENSEMBLE, _evaluate
+    model, n = _oracle_models()[case]
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=n)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    samples = _ENSEMBLE_CHUNK + 300
+    est = nt.ensemble_average(model, A, grid, n * 0.1, n_samples=samples, seed=23)
+    paths = nt.build_paths(model, grid, grid.full_window)
+    Xs = paths.eigenvalues[paths.histories]
+    rng = _generator(23, _STREAM_ENSEMBLE)
+    z = np.concatenate([readout_prior(A).sample(min(_ENSEMBLE_CHUNK, samples - lo), rng)
+                        for lo in range(0, samples, _ENSEMBLE_CHUNK)])
+    row = 2.0 * A.entries[-1]
+    expected = _reference_couplings(z, Xs, paths.amplitudes, A.entries) @ row
+    psi, predicted = _evaluate(z, Xs, paths.amplitudes, A.entries, row)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(predicted - expected)) <= 1e-12 * scale
+    w = np.einsum("si,si->s", psi, psi.conj()).real
+    assert abs(est.mean_readout.predicted - np.sum(expected) / np.sum(w)) \
+        <= 1e-12 * samples * scale / np.sum(w)
+    if case == "zero-coupling":
+        assert scale == 0.0 and est.mean_readout.predicted == 0.0
+
+
+@pytest.mark.parametrize("case", ["qubit", "qutrit", "dephasing", "zero-coupling"])
+def test_retarded_matches_the_per_step_couplings(case):
+    # Every prefix's retarded readout against 2 A_w[k - 1, :k] times the
+    # whole coupling vector of that prefix over its squared norm.
+    model, n = _oracle_models()[case]
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=n)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    for rec in nt.sample_readout_prior(A, 3, seed=24):
+        traj = nt.solve_unnormalized(model, A, grid, n * 0.1, rec)
+        expected = np.empty(n)
+        for k in range(1, n + 1):
+            paths = nt.build_paths(model, grid, range(0, k))
+            c = _reference_couplings(rec.values[None, :k], paths.eigenvalues[paths.histories],
+                                     paths.amplitudes, A.entries[:k, :k])[0]
+            expected[k - 1] = 2.0 * A.entries[k - 1, :k] @ c / traj.norms[k] ** 2
+        assert np.max(np.abs(traj.retarded - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_mean_readout_zero_coupling(zero_coupling_model, A8, grid8):
