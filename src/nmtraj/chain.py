@@ -359,28 +359,19 @@ def _exponent_increment(row: np.ndarray, ket: np.ndarray, bra: np.ndarray) -> np
     return -d_now * (d_past + 0.5 * row[-1] * d_now)
 
 
-def _bandwidth(entries: np.ndarray) -> int:
-    """Largest |i - j| with a nonzero entry of a symmetric matrix (0 when it
-    is diagonal or zero)."""
-    nz = entries != 0.0
-    idx = np.arange(nz.shape[0])
-    last = np.where(nz.any(axis=1), nz.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), idx)
-    return int(np.max(last - idx, initial=0))
-
-
 def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
-                   steps: int) -> tuple[int, int | None]:
-    """Bandwidth L of the whole-grid kernel matrix and the work
-    steps * m^(2L+2) * d^2 of the memory-window transfer over the grid, or
-    None in place of the work when the transfer may not run: its block
-    array would pass BLOCK_BUDGET entries, or its local exponent bound
+                   steps: int) -> int | None:
+    """The work steps * m^(2L+2) * d^2 of the memory-window transfer over the
+    grid, L = A.bandwidth of the whole-grid kernel matrix, or None when the
+    transfer may not run: its block array would pass BLOCK_BUDGET entries,
+    or its local exponent bound
 
         B = Dmax^2 max_k sum_{j < k <= i, i - j <= L} |A_ij|
 
     passes _EXPONENT_CAP, with Dmax the spread of the coupling eigenvalues.
     The sum at k is over the corner coupling the steps before k to the
-    steps from k on; its nonzero entries lie on the L lower diagonals, so
-    B takes O(nL).
+    steps from k on; its nonzero entries lie on the L lower diagonals, each
+    one kernel value |A.column[lag]|, so B takes O(nL).
 
     Why B <= 600 is safe.  Write D = Xa - Xb for a history pair.  After k
     steps its weight is exp(-D.A_k.D/2), with A_k the leading k x k block
@@ -400,22 +391,22 @@ def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
     and the diagonal pairs keep weight 1, so the reduced states need no
     renormalization.  The Markov kernel has L = 0 and B = 0.
     """
-    band = _bandwidth(A.entries)
+    band = A.bandwidth
     m = eig.count
     blocks = m ** (2 * band + 2) * dim * dim
     if blocks > BLOCK_BUDGET:
-        return band, None
+        return None
     # cut[k] - cut[k - 1] adds the entries A[j + lag, j] whose corners start
     # at k = j + 1 and drops those whose corners ended at k - 1 = j + lag.
     cut = np.zeros(A.size + 1)
     for lag in range(1, band + 1):
-        mass = np.abs(np.diagonal(A.entries, -lag))
-        cut[1:mass.size + 1] += mass
+        mass = abs(A.column[lag])
+        cut[1:A.size - lag + 1] += mass
         cut[lag + 1:] -= mass
     spread = float(np.ptp(eig.eigenvalues))
     if not spread * spread * float(np.max(np.cumsum(cut))) <= _EXPONENT_CAP:
-        return band, None
-    return band, steps * blocks
+        return None
+    return steps * blocks
 
 
 def _shift(a: float, size: int) -> np.ndarray:
@@ -528,18 +519,18 @@ def _certified_depth(c: float, r: float, spread: float, steps: int, dim: int) ->
 
 
 def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
-                     eig: CouplingEigensystem, band: int, steps: int,
+                     eig: CouplingEigensystem, steps: int,
                      depth: int | None = None) -> list[DensityOperator]:
     """Reduced states after 1 .. steps steps, carrying the double path sum
     forward in time in one of two memory representations.
 
     Memory window (depth None).  The pair weight
-    exp(-(Xa - Xb).A(Xa - Xb)/2) couples only steps at most ``band`` apart,
-    so the sum can be carried in one d x d block per choice of ket and bra
-    eigenvalue indices at the last ``band`` steps (the window, oldest
-    first).  Each step multiplies every split block by the step's exponent
-    increment and sums out the index pair that leaves the window; the sum of
-    all blocks is the unnormalized reduced state.
+    exp(-(Xa - Xb).A(Xa - Xb)/2) couples only steps at most L = A.bandwidth
+    apart, so the sum can be carried in one d x d block per choice of ket and
+    bra eigenvalue indices at the last L steps (the window, oldest first).
+    Each step multiplies every split block by the step's exponent increment
+    and sums out the index pair that leaves the window; the sum of all
+    blocks is the unnormalized reduced state.
 
     Taylor levels 0 .. depth (A.ar1 = (c, r)).  For A_ij = c r^|i-j| a
     pair's exponent gains -c delta^2/2 - delta y_k at step k, with delta
@@ -562,7 +553,9 @@ def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     right = (U.conj().T @ eig.projectors).transpose(1, 0, 2).reshape(d, m * d)
     rho0 = np.outer(model.initial_state, model.initial_state.conj())
     if depth is None:
-        E = A.submatrix(range(steps))
+        band = A.bandwidth
+        # Row k of A over steps k - w .. k is lags[band - w:], kept contiguous.
+        lags = A.column[band::-1].copy()
         blocks = rho0[:, None, None, :]  # (d, ket window, bra window, d)
         window = np.zeros((1, 0))  # eigenvalues along each window, oldest first
     else:
@@ -582,7 +575,7 @@ def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
                 d, r * m, r * m, d)
             window = np.hstack([np.repeat(window, m, axis=0),
                                 np.tile(eig.eigenvalues, r)[:, None]])
-            blocks *= np.exp(_exponent_increment(E[k, k - w:k + 1], window, window))[..., None]
+            blocks *= np.exp(_exponent_increment(lags[band - w:], window, window))[..., None]
             if w == band:
                 blocks = blocks.reshape(d, m, r, m, r, d).sum(axis=(1, 3))
                 window = window[:r, 1:]
@@ -623,7 +616,7 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     eig = eigendecompose_coupling(model)
     steps = len(grid.window_before(t))
     n, m, d = grid.n_steps, eig.count, model.dim
-    band, work = _transfer_work(eig, A, d, n)
+    work = _transfer_work(eig, A, d, n)
     depth = None if A.ar1 is None else _certified_depth(
         *A.ar1, float(np.ptp(eig.eigenvalues)), n, d)
     if depth is not None:
@@ -650,7 +643,7 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
             raise
         cost = np.inf
     if work is not None and cost > work:
-        return _transfer_states(model, A, grid, eig, band, steps, depth)
+        return _transfer_states(model, A, grid, eig, steps, depth)
     return [_conditional(PathEnsemble(hist, amps, eig.eigenvalues),
                          A.submatrix(range(k)), np.zeros((k, k)), np.zeros(k), range(k))[0]
             for k, (amps, hist) in enumerate(prefixes, 1)]
@@ -689,12 +682,12 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
 
     The unread detectors couple ket and bra histories only through
     C = A_ww - S = A_wu A_uu^-1 A_uw, and _conditional sums only what C
-    couples.  Its rows and columns vanish off the window steps that A_uw
-    couples to u: by the kernel's exact zeros (a tabulated kernel's last L
-    steps, none for a Markov kernel or at the grid's end), never by a
-    threshold on rounding, and exactly in floating point too, since a zero
-    column of A_uw has a zero column of the gain.  Those steps are the
-    pair sum's support, with m^(2L) group pairs.  On an exponential kernel,
+    couples.  Its rows and columns vanish off the last L = A.bandwidth window
+    steps (none for a Markov kernel or at the grid's end): column j of A_uw
+    holds the lags k - j and up, all exact zeros of the kernel past L, never
+    a threshold on rounding, and a zero column of A_uw has a zero column of
+    the gain in floating point too.  Those steps are the pair sum's support,
+    with m^(2L) group pairs.  On an exponential kernel,
     A_ij = c r^|i-j| (A.ar1 = (c, r)), and u nonempty, C is rank one: for
     unread i >= k and read j < k, A_ij = c r^(i-k) r^(k-j), so
     A_uw = A_uu[:, :1] a^T with a_j = r^(k-j); hence A_uu^-1 A_uw = e_1 a^T
@@ -712,15 +705,14 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     S = (A_w - A_uw.T @ gain).astype(float)
     density = _guarded(window, S)
     y = 2.0 * (S.astype(np.longdouble) @ record.values)
-    log_prior = float(-(record.values @ y)) + 0.5 * (
-        density.log_det - len(window) * np.log(0.5 * np.pi))
+    k = len(window)
+    log_prior = float(-(record.values @ y)) + 0.5 * (density.log_det - k * np.log(0.5 * np.pi))
     paths = build_paths(model, grid, window)
-    coupled = np.flatnonzero(A_uw.any(axis=0))
-    support = range(int(coupled[0]) if coupled.size else len(window), len(window))
+    support = range(max(0, k - A.bandwidth) if unread else k, k)
     rank_one = None
     if A.ar1 is not None and unread:
         c, r = A.ar1
-        rank_one = (c, r ** np.arange(len(window), 0, -1))
+        rank_one = (c, r ** np.arange(k, 0, -1))
     rho, log_trace = _conditional(paths, A_w, S, y.astype(float), support, rank_one)
     return ConditionalState(rho=rho, log_weight=log_prior + log_trace)
 

@@ -1,7 +1,7 @@
 """Command-line runner.
 
 Subcommands: evolve | trajectory | ensemble | detector | verify.  A run is
-configured by one JSON file with five blocks (model, kernel, grid, schedule,
+configured by one JSON file with six blocks (model, kernel, grid, schedule,
 sampling, output); complex matrices are nested arrays of [re, im] pairs.
 Tables are CSV with unit-annotated headers, summaries are JSON, and every
 run writes a manifest with the config hash and per-output checksums.
@@ -25,14 +25,8 @@ import numpy as np
 from . import verify as verify_mod
 from .chain import conditional_state_pointer, delayed_state, reduced_states
 from .errors import ConfigError, NmtrajError
-from .kernels import (
-    ExponentialKernel,
-    KernelMatrix,
-    MarkovDeltaKernel,
-    TabulatedKernel,
-    TimeGrid,
-    build_kernel_matrix,
-)
+from .kernels import (ExponentialKernel, MarkovDeltaKernel, TabulatedKernel, TimeGrid,
+                      build_kernel_matrix)
 from .noise import NoiseRecord, sample_pointer_prior, sample_readout_prior
 from .quantum import ModelSpec, eigendecompose_coupling
 from .trajectories import ensemble_average, solve_unnormalized
@@ -316,7 +310,7 @@ def cmd_evolve(config: RunConfig) -> list[Path]:
             row += [float(v.real), float(v.imag)]
         row.append(rho.purity)
         if gap is not None:
-            window_sum += A.entries[k - 1, k - 1] + 2.0 * float(np.sum(A.entries[k - 1, :k - 1]))
+            window_sum += A.column[0] + 2.0 * float(np.sum(A.column[k - 1:0:-1]))
             decay = np.exp(-0.5 * gap ** 2 * window_sum)
             row.append(float(rho01_0 * decay))
         else:
@@ -434,8 +428,7 @@ def cmd_detector(config: RunConfig, record_file: str | None = None) -> list[Path
         if record_file is not None:
             values = _load_record_values(record_file, len(read))
         else:
-            values = sample_readout_prior(
-                KernelMatrix(read, A.submatrix(read)), 1, seed=config.seed)[0].values
+            values = sample_readout_prior(A.restrict(read), 1, seed=config.seed)[0].values
         record = NoiseRecord(window=read, values=values)
         state = delayed_state(model, A, grid, t, config.delay, record)
     payload = {

@@ -23,7 +23,7 @@ class PathBudgetExceeded(NmtrajError):
 
 
 class KernelBudgetExceeded(NmtrajError):
-    """A kernel matrix would hold more entries than KERNEL_ENTRY_BUDGET."""
+    """A grid's dense kernel matrix would hold more entries than KERNEL_ENTRY_BUDGET."""
 
 
 class SampleBudgetExceeded(NmtrajError):

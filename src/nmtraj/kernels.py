@@ -2,16 +2,16 @@
 
 Everything downstream works on a uniform grid t_k = k*epsilon.  A stationary
 real correlation kernel alpha(tau), even in tau, is discretized into the
-symmetric matrix
+symmetric Toeplitz matrix
 
-    A[i, j] = epsilon**2 * alpha(t_i - t_j)
+    A[i, j] = epsilon**2 * alpha(t_i - t_j),
 
-so that continuum double integrals become plain double sums and single
-integrals against the readout become plain sums over per-step integrated
-readout values (z_k plays the role of epsilon * z(t_k)).  With this
-convention the Gaussian identities used by the detector chain and the
-trajectory solver hold exactly at finite step size, which is what lets the
-equivalence tests demand machine precision.
+stored as its first column, so that continuum double integrals become plain
+double sums and single integrals against the readout become plain sums over
+per-step integrated readout values (z_k plays the role of epsilon * z(t_k)).
+With this convention the Gaussian identities used by the detector chain and
+the trajectory solver hold exactly at finite step size, which is what lets
+the equivalence tests demand machine precision.
 
 The delta-correlated (memoryless) kernel is discretized with the standard
 lattice rule delta(0) -> 1/epsilon, giving A = epsilon * g**2 * I.
@@ -34,7 +34,7 @@ CONDITION_CAP = 1e12
 #: Residual demanded of Cholesky reconstructions (see also chain._guarded).
 INVERSE_RTOL = 1e-10
 
-#: Most entries one kernel matrix may hold: a 4096-step window, 128 MiB.
+#: Most entries a whole-grid dense block may hold: a 4096-step window, 128 MiB.
 KERNEL_ENTRY_BUDGET = 2 ** 24
 
 
@@ -60,9 +60,11 @@ class TimeGrid:
         return range(0, self.n_steps)
 
     def steps_of(self, t: float) -> int:
-        """Number of whole steps before time t; t must sit on the grid."""
-        k = int(round(t / self.epsilon))
-        if abs(t - k * self.epsilon) > 1e-9 * max(1.0, abs(t)):
+        """Number of whole steps before time t; t must sit on the grid, to
+        1e-9 of a step."""
+        steps = t / self.epsilon
+        k = round(steps)
+        if not abs(steps - k) <= 1e-9:
             raise ValueError(f"time {t} is not a multiple of epsilon={self.epsilon}")
         if k < 0 or k > self.n_steps:
             raise ValueError(f"time {t} lies outside the grid (n_steps={self.n_steps})")
@@ -129,12 +131,10 @@ class TabulatedKernel:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Discretized kernel over a contiguous index window of the grid.
-
-    ``entries[i - window.start, j - window.start]`` holds
-    epsilon**2 * alpha(t_i - t_j); exact symmetry and (for stationary
-    kernels) the Toeplitz property follow from building entries out of
-    integer index differences.
+    """Discretized stationary kernel over a contiguous index window of the grid,
+    stored as its first column: ``column[k]`` = epsilon**2 * alpha(k * epsilon).
+    Every block is the one gather column[|i - j|] over absolute grid indices,
+    exactly symmetric and Toeplitz.
 
     ``ar1`` is the kernel's structure (c, r) when every entry is
     c * r**|i - j| (an exponential kernel: c = epsilon**2 * rate / 2 and
@@ -145,35 +145,54 @@ class KernelMatrix:
     """
 
     window: range
-    entries: np.ndarray
+    column: np.ndarray
     ar1: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if np.shape(self.column) != (len(self.window),):
+            raise ValueError(f"expected a column of {len(self.window)} lags for {self.window}")
 
     @property
     def size(self) -> int:
         return len(self.window)
 
-    def _relative(self, window: range) -> np.ndarray:
+    @property
+    def bandwidth(self) -> int:
+        """Largest lag with a nonzero entry (0 for a diagonal or zero matrix)."""
+        return int(np.max(np.flatnonzero(self.column), initial=0))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense size x size matrix, built on each read."""
+        return self.submatrix(self.window)
+
+    def _check(self, window: range) -> None:
         if window.start < self.window.start or window.stop > self.window.stop:
             raise ValueError(f"window {window} not contained in {self.window}")
-        return np.arange(window.start - self.window.start,
-                         window.stop - self.window.start)
+
+    def restrict(self, window: range) -> KernelMatrix:
+        """The kernel matrix over a sub-window (absolute grid indices)."""
+        self._check(window)
+        return KernelMatrix(window, self.column[:len(window)], self.ar1)
 
     def submatrix(self, window: range) -> np.ndarray:
         """Square block over a sub-window (absolute grid indices)."""
-        rel = self._relative(window)
-        return self.entries[np.ix_(rel, rel)]
+        return self.block(window, window)
 
     def block(self, rows: range, cols: range) -> np.ndarray:
         """Rectangular block, e.g. the coupling between read and unread steps."""
-        return self.entries[np.ix_(self._relative(rows), self._relative(cols))]
+        self._check(rows)
+        self._check(cols)
+        lags = np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.start, cols.stop)
+        return self.column[np.abs(lags)]
 
 
 def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
-    """Discretize a memory kernel over the whole grid.
+    """Discretize a memory kernel over the whole grid: one kernel value per lag.
 
-    Raises KernelBudgetExceeded, before any allocation, if the grid needs
-    more than KERNEL_ENTRY_BUDGET entries, and NotPositiveDefinite if the
-    smallest eigenvalue falls below -PSD_RTOL times the spectral norm (the
+    Raises KernelBudgetExceeded, before any allocation, if the grid's dense
+    matrix would pass KERNEL_ENTRY_BUDGET entries, and NotPositiveDefinite if
+    the smallest eigenvalue falls below -PSD_RTOL times the spectral norm (the
     signature of an invalid tabulated kernel).  Markov and exponential
     matrices pass that test in closed form (see _ar1_is_psd) and skip the
     dense eigenvalue check.
@@ -187,27 +206,25 @@ def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
     eps = grid.epsilon
     ar1 = None
     if kernel.kind == "markov":
-        diagonal = eps * kernel.g ** 2
-        entries = diagonal * np.eye(n)
+        column = np.zeros(n)
+        column[0] = eps * kernel.g ** 2
         # A nonnegative diagonal: its eigenvalues are its entries.
-        proved = diagonal < np.inf
+        proved = column[0] < np.inf
     else:
-        idx = np.arange(n)
-        # |i - j| keeps the matrix exactly symmetric and Toeplitz.
-        lag = eps * np.abs(idx[:, None] - idx[None, :])
-        entries = eps ** 2 * kernel.alpha(lag)
+        column = eps ** 2 * kernel.alpha(eps * np.arange(n))
         if kernel.kind == "exponential":
             ar1 = (eps ** 2 * (0.5 * kernel.rate), float(np.exp(-kernel.rate * eps)))
         proved = ar1 is not None and _ar1_is_psd(ar1[0], kernel.rate)
+    matrix = KernelMatrix(window=window, column=column, ar1=ar1)
     if not proved:
-        eigs = np.linalg.eigvalsh(entries)
+        eigs = np.linalg.eigvalsh(matrix.entries)
         norm = float(np.max(np.abs(eigs)))
         min_eig = float(eigs[0])
         if norm > 0.0 and min_eig < -PSD_RTOL * norm:
             raise NotPositiveDefinite(
                 f"kernel matrix has eigenvalue {min_eig:.3e} below -{PSD_RTOL:.0e} * norm "
                 f"({norm:.3e}); the kernel is not positive semidefinite")
-    return KernelMatrix(window=window, entries=entries, ar1=ar1)
+    return matrix
 
 
 def _ar1_is_psd(c: float, rate: float) -> bool:

@@ -210,7 +210,7 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
 def readout_pdf(trajectory: Trajectory, A: KernelMatrix) -> float:
     """Log density of the trajectory's record: window prior plus log |Psi|^2."""
     window = trajectory.record.window
-    prior = readout_prior(KernelMatrix(window, A.submatrix(window)))
+    prior = readout_prior(A.restrict(window))
     return prior.logpdf(trajectory.record.values) + 2.0 * float(np.log(trajectory.norms[-1]))
 
 
@@ -292,7 +292,7 @@ def ensemble_average(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float
             f"over the sample budget {SAMPLE_BUDGET}; reduce the sample count")
     window = grid.window_before(t)
     A_w = A.submatrix(window)
-    prior = readout_prior(KernelMatrix(window, A_w))
+    prior = readout_prior(A.restrict(window))
     paths = build_paths(model, grid, window)
     Xs = paths.eigenvalues[paths.histories]
     last_row = 2.0 * A_w[-1, :]

@@ -14,8 +14,7 @@ import json
 import numpy as np
 
 from . import chain, noise, trajectories
-from .kernels import (ExponentialKernel, KernelMatrix, MarkovDeltaKernel, TimeGrid,
-                      build_kernel_matrix)
+from .kernels import ExponentialKernel, MarkovDeltaKernel, TimeGrid, build_kernel_matrix
 from .noise import GaussianDensity, NoiseRecord
 from .quantum import DensityOperator, default_qubit, dephasing_qubit, trace_distance
 
@@ -199,8 +198,7 @@ def criterion_delayed_readout(seed: int) -> dict:
     model = default_qubit()
     A = build_kernel_matrix(ExponentialKernel(rate=rate), grid)
     read = grid.window_before(t - delay)
-    A_read = KernelMatrix(read, A.submatrix(read))
-    records = noise.sample_readout_prior(A_read, 100, seed=seed + 7)
+    records = noise.sample_readout_prior(A.restrict(read), 100, seed=seed + 7)
     gaps = []
     for rec in records:
         delayed = chain.delayed_state(model, A, grid, t, delay, rec)
@@ -213,8 +211,7 @@ def criterion_delayed_readout(seed: int) -> dict:
     model2, grid2, A2 = _default_setup()
     delay2 = 2 * _DEFAULT_EPS
     read2 = grid2.window_before(t - delay2)
-    A2_read = KernelMatrix(read2, A2.submatrix(read2))
-    rec2 = noise.sample_readout_prior(A2_read, 1, seed=seed + 9)[0]
+    rec2 = noise.sample_readout_prior(A2.restrict(read2), 1, seed=seed + 9)[0]
     delayed2 = chain.delayed_state(model2, A2, grid2, t, delay2, rec2)
     window = grid2.window_before(t)
     Aw = A2.submatrix(window)
@@ -293,9 +290,9 @@ def criterion_gaussian_machinery(seed: int, est_bundle) -> dict:
     records = noise.sample_readout_prior(A, n_samples, seed=seed + 17)
     values = np.stack([r.values for r in records])
     cov_hat = values.T @ values / n_samples
-    se = np.sqrt((np.outer(np.diag(A.entries), np.diag(A.entries))
-                  + A.entries ** 2) / n_samples)
-    cov_sigma = float(np.max(np.abs(cov_hat - A.entries) / se))
+    entries = A.entries
+    se = np.sqrt((np.outer(np.diag(entries), np.diag(entries)) + entries ** 2) / n_samples)
+    cov_sigma = float(np.max(np.abs(cov_hat - entries) / se))
 
     sub = range(2, 6)
     # The kernel is stationary, so a len(sub)-step grid gives the sub-window's matrix.

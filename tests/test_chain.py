@@ -294,7 +294,7 @@ def test_transfer_matches_the_path_sum(case, band, default_model, monkeypatch):
     }[case]
     grid = nt.TimeGrid(epsilon=0.1, n_steps=steps)
     A = nt.build_kernel_matrix(kernel, grid)
-    assert chain._bandwidth(A.entries) == band
+    assert A.bandwidth == band
     routed, runs = _routed(model, A, grid, monkeypatch)
     path_sum = _path_sum(model, A, grid, monkeypatch)
     assert len(runs) == 1
@@ -336,7 +336,8 @@ def test_route_choice(case, transfer, default_model, monkeypatch):
     A = nt.build_kernel_matrix(kernel, grid)
     if case == "long-7-step-support":
         eig = nt.eigendecompose_coupling(model)
-        assert chain._transfer_work(eig, A, model.dim, steps) == (6, steps * 2 ** 14 * 4)
+        assert A.bandwidth == 6
+        assert chain._transfer_work(eig, A, model.dim, steps) == steps * 2 ** 14 * 4
     runs = _routed(model, A, grid, monkeypatch)[1]
     assert len(runs) == int(transfer)
     depth = {"qubit-exp": 27, "qutrit-exp": 23}.get(case)
@@ -381,11 +382,12 @@ def test_transfer_guard_refuses_a_large_exponent_bound(default_model):
     A = nt.build_kernel_matrix(_tab((0.5, 0.2, 0.0)), grid)
     for strength, allowed in ((60.0, True), (300.0, False)):
         eig = nt.eigendecompose_coupling(_qubit_coupled(strength))
-        assert (chain._transfer_work(eig, A, 2, 40)[1] is not None) is allowed
+        assert (chain._transfer_work(eig, A, 2, 40) is not None) is allowed
     # The block array of bandwidth 9 for a qubit holds 2^22 entries.
     grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
     A = nt.build_kernel_matrix(_tab(np.linspace(0.5, 0.05, 10)), grid)
-    assert chain._transfer_work(nt.eigendecompose_coupling(default_model), A, 2, 12) == (9, None)
+    assert A.bandwidth == 9
+    assert chain._transfer_work(nt.eigendecompose_coupling(default_model), A, 2, 12) is None
 
 
 def test_local_exponent_bound_is_the_largest_corner(default_model, monkeypatch):
@@ -394,14 +396,14 @@ def test_local_exponent_bound_is_the_largest_corner(default_model, monkeypatch):
     # ends hold fewer entries.
     n, band = 9, 3
     A = nt.build_kernel_matrix(_tab((0.6, 0.25, -0.05, 0.02, 0.0)), nt.TimeGrid(0.1, n))
-    assert chain._bandwidth(A.entries) == band
+    assert A.bandwidth == band
     corners = [sum(abs(A.entries[i, j]) for j in range(k)
                    for i in range(k, min(j + band, n - 1) + 1)) for k in range(n + 1)]
     bound = 4.0 * max(corners)  # sigma_z eigenvalues -1 and 1: Dmax^2 = 4
     eig = nt.eigendecompose_coupling(default_model)
     for cap, allowed in ((bound * (1 + 1e-9), True), (bound * (1 - 1e-9), False)):
         monkeypatch.setattr(chain, "_EXPONENT_CAP", cap)
-        assert (chain._transfer_work(eig, A, 2, n)[1] is not None) is allowed
+        assert (chain._transfer_work(eig, A, 2, n) is not None) is allowed
 
 
 @pytest.mark.parametrize("strength, steps", [(60.0, 40), (30.0, 300), (10.0, 1000)])
@@ -416,15 +418,32 @@ def test_transfer_matches_an_extended_precision_run(strength, steps, monkeypatch
     A = nt.build_kernel_matrix(kernel, grid)
     model = _qubit_coupled(strength)
     eig = nt.eigendecompose_coupling(model)
-    assert chain._transfer_work(eig, A, 2, steps)[1] is not None
-    double = chain._transfer_states(model, A, grid, eig, 1, steps)
+    assert chain._transfer_work(eig, A, 2, steps) is not None
+    double = chain._transfer_states(model, A, grid, eig, steps)
     U = nt.free_step(model, grid.epsilon)
     monkeypatch.setattr(chain, "free_step", lambda *_: U.astype(np.clongdouble))
     eig_ld = nt.CouplingEigensystem(eigenvalues=eig.eigenvalues.astype(np.longdouble),
                                     projectors=eig.projectors.astype(np.clongdouble))
-    A_ld = nt.KernelMatrix(A.window, A.entries.astype(np.longdouble))
-    extended = chain._transfer_states(model, A_ld, grid, eig_ld, 1, steps)
+    A_ld = nt.KernelMatrix(A.window, A.column.astype(np.longdouble))
+    extended = chain._transfer_states(model, A_ld, grid, eig_ld, steps)
     assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(double, extended)) <= 1e-12
+
+
+def test_memory_window_holds_no_dense_kernel_block(default_model):
+    # The transfer reads its step increments off the kernel's column: on a
+    # 2000-step grid it allocates less than one n x n float block.
+    n = 2000
+    grid = nt.TimeGrid(epsilon=0.1, n_steps=n)
+    A = nt.build_kernel_matrix(
+        nt.TabulatedKernel(lags=(0.0, 0.1, 0.2), values=(1.0, 0.5, 0.0)), grid)
+    tracemalloc.start()
+    try:
+        states = nt.reduced_states(default_model, A, grid, n * grid.epsilon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == n
+    assert peak < 8 * n * n
 
 
 # ------------------------------------------------- Taylor hierarchy (AR(1))
@@ -441,7 +460,7 @@ def _bench_qutrit(seed=1):
 
 def _levels(model, A, grid, depth):
     eig = nt.eigendecompose_coupling(model)
-    return chain._transfer_states(model, A, grid, eig, 0, grid.n_steps, depth)
+    return chain._transfer_states(model, A, grid, eig, grid.n_steps, depth)
 
 
 def _depth_for(model, A, grid):
@@ -1072,7 +1091,7 @@ def test_readout_unraveling_by_quadrature(default_model, steps):
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
     t = 0.1 * steps
     window = grid.window_before(t)
-    prior = nt.readout_prior(nt.KernelMatrix(window, A.submatrix(window)))
+    prior = nt.readout_prior(A.restrict(window))
     pts, wts = _gh_points(np.zeros(steps), A.submatrix(window), order=20)
     acc = np.zeros((2, 2), dtype=complex)
     total = 0.0
@@ -1129,7 +1148,7 @@ def test_delayed_statistics_frozen_bound(default_model):
     rate, delay, t = 100.0, 0.1, 0.8
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
     read = grid.window_before(t - delay)
-    records = nt.sample_readout_prior(nt.KernelMatrix(read, A.submatrix(read)), 50, seed=31)
+    records = nt.sample_readout_prior(A.restrict(read), 50, seed=31)
     gaps = []
     for rec in records:
         delayed = nt.delayed_state(default_model, A, grid, t, delay, rec)
@@ -1144,7 +1163,7 @@ def test_delayed_state_partial_average_identity(default_model, A8, grid8):
     # readout density reproduces the delayed state.
     t, delay = 0.8, 0.2
     read = grid8.window_before(t - delay)
-    rec = nt.sample_readout_prior(nt.KernelMatrix(read, A8.submatrix(read)), 1, seed=12)[0]
+    rec = nt.sample_readout_prior(A8.restrict(read), 1, seed=12)[0]
     delayed = nt.delayed_state(default_model, A8, grid8, t, delay, rec)
 
     window = grid8.window_before(t)

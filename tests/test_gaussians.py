@@ -10,9 +10,14 @@ from nmtraj import KernelMatrix
 from nmtraj.noise import GaussianDensity
 
 
-def _matrix(entries):
+def _density(entries):
     entries = np.asarray(entries, dtype=float)
-    return KernelMatrix(window=range(0, entries.shape[0]), entries=entries)
+    return GaussianDensity(window=range(0, entries.shape[0]), covariance=entries)
+
+
+def _matrix(column):
+    """Toeplitz kernel matrix with the given first column."""
+    return KernelMatrix(window=range(0, len(column)), column=np.asarray(column, dtype=float))
 
 
 def _log_shift_ratio(density, shift, values):
@@ -25,9 +30,8 @@ def _log_shift_ratio(density, shift, values):
 
 def test_readout_scalar_density():
     a, v = 0.37, 0.8
-    A = _matrix([[a]])
     expected = -v ** 2 / (2 * a) - 0.5 * np.log(2 * np.pi * a)
-    assert nt.readout_prior(A).logpdf(np.array([v])) == pytest.approx(expected, rel=1e-14)
+    assert _density([[a]]).logpdf(np.array([v])) == pytest.approx(expected, rel=1e-14)
 
 
 def test_readout_mode_is_maximum(A8):
@@ -43,15 +47,14 @@ def test_readout_mode_is_maximum(A8):
 def test_readout_marginal_vs_quadrature():
     # Integrate the 2-step density over the second component numerically.
     entries = np.array([[0.5, 0.2], [0.2, 0.4]])
-    A = _matrix(entries)
-    density = nt.readout_prior(A)
+    density = _density(entries)
     z0 = 0.3
 
     def joint(z1):
         return np.exp(density.logpdf(np.array([z0, z1])))
 
     marginal, err = integrate.quad(joint, -20, 20, limit=200)
-    direct = np.exp(nt.readout_prior(_matrix([[0.5]])).logpdf(np.array([z0])))
+    direct = np.exp(_density([[0.5]]).logpdf(np.array([z0])))
     assert marginal == pytest.approx(direct, rel=1e-9)
 
 
@@ -60,7 +63,7 @@ def test_marginal_closure_nested_windows(A8, grid8):
     # sub-window, for any nesting.
     full = nt.readout_prior(A8)
     sub_window = range(1, 5)
-    direct = nt.readout_prior(KernelMatrix(sub_window, A8.submatrix(sub_window)))
+    direct = nt.readout_prior(A8.restrict(sub_window))
     marginal = full.marginal(sub_window)
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -94,7 +97,7 @@ def test_change_of_variables_jacobian(A8, grid8, zero_coupling_model):
 
 
 def test_sampler_identity_covariance():
-    A = _matrix(np.eye(4))
+    A = _matrix([1.0, 0.0, 0.0, 0.0])
     records = nt.sample_readout_prior(A, 100_000, seed=42)
     values = np.stack([r.values for r in records])
     cov_hat = values.T @ values / len(values)
@@ -130,7 +133,7 @@ def test_samplers_draw_through_the_window_factor(A8):
 
 def test_singular_prior_samples_with_jitter():
     # Rank one, spectral norm 2: the factor is that of ones + 2e-12 * I.
-    A = _matrix(np.ones((2, 2)))
+    A = _matrix([1.0, 1.0])
     got = np.stack([r.values for r in nt.sample_readout_prior(A, 4, seed=5)])
     L = np.linalg.cholesky(np.ones((2, 2)) + 2e-12 * np.eye(2))
     assert np.array_equal(got, _philox(5, 0x7A).standard_normal((4, 2)) @ L.T)
@@ -143,7 +146,7 @@ def test_shift_ratio_zero_shift(A8):
 
 def test_shift_ratio_scalar_formula():
     a, v, z = 0.4, 0.25, 0.7
-    density = nt.readout_prior(_matrix([[a]]))
+    density = _density([[a]])
     ratio = _log_shift_ratio(density, np.array([v]), np.array([z]))
     assert ratio == pytest.approx((z * v - v ** 2 / 2) / a, rel=1e-13)
 

@@ -21,6 +21,65 @@ def test_grid_validation():
         grid.steps_of(0.8)
 
 
+def test_off_grid_times_are_refused_in_steps():
+    # 5.4 and 3.3 steps of a 1e-12 grid; an absolute time tolerance took them.
+    grid = nt.TimeGrid(epsilon=1e-12, n_steps=10)
+    with pytest.raises(ValueError, match="not a multiple of epsilon"):
+        grid.steps_of(5.4e-12)
+    with pytest.raises(ValueError, match="not a multiple of epsilon"):
+        grid.window_before(3.3e-12)
+    # The times the CLI passes: the run length eps * n and t - delay, with
+    # the delay as a product and as its decimal.
+    for eps in (0.1, 0.01):
+        for n in range(1, 301):
+            grid = nt.TimeGrid(epsilon=eps, n_steps=n)
+            t = eps * n
+            assert grid.steps_of(t) == n
+            for d in range(n):
+                for delay in (d * eps, round(d * eps, 10)):
+                    assert grid.window_before(t - delay) == range(0, n - d)
+
+
+def _tabled(values):
+    return nt.TabulatedKernel(lags=tuple(0.1 * np.arange(len(values))), values=tuple(values))
+
+
+@pytest.mark.parametrize("kernel", [
+    nt.ExponentialKernel(rate=1e-3), nt.ExponentialKernel(rate=1.0),
+    nt.ExponentialKernel(rate=37.0), _tabled((1.0, 0.0, 0.3)), _tabled((1.0, 0.5, 0.0)),
+    nt.MarkovDeltaKernel(g=1.3)],
+    ids=["exp-1e-3", "exp-1", "exp-37", "tab-interior-zero", "tab-last-zero", "markov"])
+@pytest.mark.parametrize("n", [1, 2, 11, 120])
+def test_column_gathers_the_dense_matrix(kernel, n):
+    # The dense eps^2 alpha(eps |i - j|), evaluated entry by entry.
+    eps = 0.1
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    if kernel.kind == "markov":
+        dense = eps * kernel.g ** 2 * np.eye(n)
+    else:
+        dense = eps ** 2 * kernel.alpha(eps * lag)
+    A = nt.build_kernel_matrix(kernel, nt.TimeGrid(epsilon=eps, n_steps=n))
+    assert A.column.shape == (n,)
+    assert A.entries.tobytes() == dense.tobytes()
+    assert A.block(range(0, n), range(0, n)).tobytes() == dense.tobytes()
+    assert A.bandwidth == int(np.max(lag[dense != 0.0], initial=0))
+
+
+@pytest.mark.parametrize("kernel", [nt.ExponentialKernel(rate=1.0), nt.MarkovDeltaKernel(g=1.0)])
+def test_kernel_build_allocates_no_dense_matrix(kernel):
+    # A 4000-step dense matrix is 122 MiB; its column is 31 KiB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        A = nt.build_kernel_matrix(kernel, nt.TimeGrid(epsilon=0.01, n_steps=4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.size == 4000
+    assert peak < 2 ** 20
+
+
 def test_exponential_diagonal_normalization():
     # rate 2 makes alpha(0) = 1 exactly.
     grid = nt.TimeGrid(epsilon=0.2, n_steps=3)
@@ -132,10 +191,10 @@ def test_tabulated_validation():
 
 
 def _precision(entries) -> np.ndarray:
-    """Window precision (restricted inverse) through the readout prior."""
+    """Window precision (restricted inverse) of a covariance through its density."""
     entries = np.asarray(entries, dtype=float)
-    A = KernelMatrix(window=range(0, entries.shape[0]), entries=entries)
-    return nt.readout_prior(A).precision_apply(np.eye(entries.shape[0]))
+    density = GaussianDensity(window=range(0, entries.shape[0]), covariance=entries)
+    return density.precision_apply(np.eye(entries.shape[0]))
 
 
 class _UnitDraws:
@@ -182,11 +241,11 @@ def test_restricted_inverse_residual(A8):
 
 def test_restricted_inverse_singular_window(default_model):
     # Read over the full window, the pointer state factors A itself.
-    entries = np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+    column = np.array([1.0, 1.0 - 1e-15])  # [[1, 1 - 1e-15], [1 - 1e-15, 1]]
     grid = nt.TimeGrid(epsilon=0.1, n_steps=2)
     record = nt.NoiseRecord(window=range(0, 2), values=[0.1, -0.2], kind="pointer")
     with pytest.raises(SingularWindow, match="condition number"):
-        nt.conditional_state_pointer(default_model, KernelMatrix(window=range(0, 2), entries=entries),
+        nt.conditional_state_pointer(default_model, KernelMatrix(window=range(0, 2), column=column),
                                      grid, 0.2, record)
 
 
@@ -237,6 +296,15 @@ def test_window_and_block_access(A8):
     assert blk[1, 0] == A8.entries[1, 5]
     with pytest.raises(ValueError):
         A8.submatrix(range(0, 9))
+    sub_matrix = A8.restrict(range(2, 5))
+    assert sub_matrix.window == range(2, 5) and sub_matrix.ar1 == A8.ar1
+    assert np.array_equal(sub_matrix.entries, sub)
+    rows, cols = range(2, 4), range(4, 5)
+    assert np.array_equal(sub_matrix.block(rows, cols), A8.block(rows, cols))
+    with pytest.raises(ValueError):
+        A8.restrict(range(0, 9))
+    with pytest.raises(ValueError, match="column of 8 lags"):
+        KernelMatrix(window=range(0, 8), column=A8.entries)
 
 
 def test_exponential_kernel_records_its_ar1_structure():

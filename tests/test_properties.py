@@ -161,7 +161,7 @@ def _readouts(draw):
     j = draw(st.integers(0, k))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     read = range(0, k - j)
-    z = nt.sample_readout_prior(nt.KernelMatrix(read, A.submatrix(read)), 1, seed=seed)[0].values
+    z = nt.sample_readout_prior(A.restrict(read), 1, seed=seed)[0].values
     x = nt.sample_pointer_prior(A, 1, seed=seed)[0].values[:k]
     return model, A, grid, k, j, z, x
 

@@ -77,7 +77,7 @@ def test_qutrit_delayed_partial_average(setup):
     model, grid, A = setup
     t, delay = 0.6, 0.1
     read = grid.window_before(t - delay)
-    rec = nt.sample_readout_prior(nt.KernelMatrix(read, A.submatrix(read)), 1, seed=24)[0]
+    rec = nt.sample_readout_prior(A.restrict(read), 1, seed=24)[0]
     delayed = nt.delayed_state(model, A, grid, t, delay, rec)
 
     window = grid.window_before(t)

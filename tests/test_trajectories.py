@@ -135,7 +135,7 @@ def test_ensemble_degenerate_weights():
     # effective sample size.
     model = _h0_dephasing()
     grid = nt.TimeGrid(epsilon=1.0, n_steps=2)
-    A = KernelMatrix(window=range(0, 2), entries=50.0 * np.eye(2) + 10.0)
+    A = KernelMatrix(window=range(0, 2), column=np.array([60.0, 10.0]))  # 50 I + 10
     with pytest.raises(DegenerateWeights):
         nt.ensemble_average(model, A, grid, 2.0, n_samples=100, seed=10)
 
