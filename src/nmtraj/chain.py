@@ -27,15 +27,16 @@ exponential kernel the raw pointers' C is rank one, and its certified
 Taylor levels take P (N + 1) in place of P^2.  The reduced state couples
 every step and keeps one group per history.
 
-``reduced_states`` may instead carry that sum forward in time in one step
-loop with one of two memories: for a kernel of finite bandwidth L, exactly,
-over the last L ket/bra eigenvalue index pairs (the memory window); for an
-exponential kernel, whose matrix is AR(1), as Taylor levels in the pair's
-one scalar memory term, truncated at the least depth whose proved error
-bound is under 1e-14 (the discrete hierarchy of the hierarchical equations
-of motion).  That bound reads only the kernel, the coupling's spread, the
-step count and the dimension, never the path count, so it certifies long
-grids.  The path sum stays the reference route.
+``reduced_states`` carries that sum forward in time in one step loop
+whenever it may, with one of two memories, and the first that may run
+wins: for an exponential kernel, whose matrix is AR(1), Taylor levels in
+the pair's one scalar memory term, truncated at the least depth whose
+proved error bound is under 1e-14 (the discrete hierarchy of Tanimura and
+Kubo); else, for a kernel of finite bandwidth L, exactly, the last L
+ket/bra eigenvalue index pairs (the memory window).  The depth's bound and
+the window's guards read only the kernel, the coupling's spread, the step
+count and the dimension, never a walk or t, so they route long grids.  The
+path sum runs only when neither may, and stays the reference route.
 
 Conventions fixed here and mirrored bit-for-bit by the trajectory solver:
 within one step the free unitary acts first and the detector kick acts at
@@ -86,7 +87,7 @@ _FLOAT_MIN = float(np.finfo(float).min)
 #: peak memory at large group counts.
 _PAIR_CHUNK = 1024
 
-#: Cap on the transfer's exponent bound B (see _transfer_work).
+#: Cap on the transfer's exponent bound B (see _window_may_run).
 _EXPONENT_CAP = 600.0
 
 #: Deepest Taylor level the hierarchy (see _truncation_bounds) and the raw
@@ -359,16 +360,14 @@ def _exponent_increment(row: np.ndarray, ket: np.ndarray, bra: np.ndarray) -> np
     return -d_now * (d_past + 0.5 * row[-1] * d_now)
 
 
-def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
-                   steps: int) -> int | None:
-    """The work steps * m^(2L+2) * d^2 of the memory-window transfer over the
-    grid, L = A.bandwidth of the whole-grid kernel matrix, or None when the
-    transfer may not run: its block array would pass BLOCK_BUDGET entries,
-    or its local exponent bound
+def _window_may_run(eig: CouplingEigensystem, A: KernelMatrix, dim: int) -> bool:
+    """Whether the memory-window transfer may run on the whole-grid kernel
+    matrix A, of bandwidth L = A.bandwidth: its block array of m^(2L+2) d^2
+    entries fits BLOCK_BUDGET, and its local exponent bound
 
         B = Dmax^2 max_k sum_{j < k <= i, i - j <= L} |A_ij|
 
-    passes _EXPONENT_CAP, with Dmax the spread of the coupling eigenvalues.
+    is at most _EXPONENT_CAP, with Dmax the spread of the coupling eigenvalues.
     The sum at k is over the corner coupling the steps before k to the
     steps from k on; its nonzero entries lie on the L lower diagonals, each
     one kernel value |A.column[lag]|, so B takes O(nL).
@@ -392,10 +391,8 @@ def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
     renormalization.  The Markov kernel has L = 0 and B = 0.
     """
     band = A.bandwidth
-    m = eig.count
-    blocks = m ** (2 * band + 2) * dim * dim
-    if blocks > BLOCK_BUDGET:
-        return None
+    if eig.count ** (2 * band + 2) * dim * dim > BLOCK_BUDGET:
+        return False
     # cut[k] - cut[k - 1] adds the entries A[j + lag, j] whose corners start
     # at k = j + 1 and drops those whose corners ended at k - 1 = j + lag.
     cut = np.zeros(A.size + 1)
@@ -404,9 +401,7 @@ def _transfer_work(eig: CouplingEigensystem, A: KernelMatrix, dim: int,
         cut[1:A.size - lag + 1] += mass
         cut[lag + 1:] -= mass
     spread = float(np.ptp(eig.eigenvalues))
-    if not spread * spread * float(np.max(np.cumsum(cut))) <= _EXPONENT_CAP:
-        return None
-    return steps * blocks
+    return spread * spread * float(np.max(np.cumsum(cut))) <= _EXPONENT_CAP
 
 
 def _shift(a: float, size: int) -> np.ndarray:
@@ -595,55 +590,39 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
 
     Integrating out every pointer cancels the Gaussian prior and leaves the
     double path sum with decoherence weights exp(-(Xa - Xb).A(Xa - Xb)/2).
-    Three routes evaluate it: the one pair sum (_conditional, nothing read)
-    on every prefix of one walk over the history tree, which is exact, and
-    _transfer_states, which carries the sum forward either over the last L
-    steps of a bandwidth-L kernel (exact; it may run when _transfer_work
-    allows it, at work n * m^(2L+2) * d^2) or, for an exponential kernel,
-    as Taylor levels 0 .. N (at work n * m^2 * (N+1)^2 * d^2, at the least
-    N <= DEPTH_CAP that _certified_depth finds from the kernel's (c, r), the
-    spread of the coupling eigenvalues, n and d alone, fixed before the
-    walk).  The path sum costs sum_k P_k^2 * k, since each of the P_k^2
-    pairs after k steps (P_k surviving paths) also costs a k-long exponent
-    row, and past the path budget, or once sum_k P_k^2 up to t passes the
-    pair budget, it cannot run; the walk checks both as it goes, so a grid
-    no route can run is refused at the step the pair budget passes.
-    When a transfer may run, the walk covers the whole grid, prices itself
-    as it goes and stops once it costs more than the cheaper transfer.  The
-    choice reads only the model, that walk and the whole-grid A, never t,
-    so every t takes the same route and depth.
+    The first of three routes that may run evaluates it:
+
+    1. the Taylor levels 0 .. N of _transfer_states, for an exponential
+       kernel whose least certified depth N <= DEPTH_CAP (_certified_depth,
+       from the kernel's (c, r), the coupling's spread, n and d) exists;
+    2. the exact memory window of _transfer_states over the last L steps of
+       a bandwidth-L kernel, when _window_may_run allows it;
+    3. the exact pair sum (_conditional, nothing read) on every prefix of
+       one walk over the history tree to t, the reference route.  The walk
+       checks the path budget and the running pair count sum_k P_k^2 as it
+       goes, before any pair sum, so a grid no route can run is refused at
+       the step a budget passes.
+
+    The rule reads only the model and the whole-grid A, never a walk or t,
+    so every t takes the same route and depth.  Both transfers are linear in
+    the step count; the path sum gathers a k x k block for each prefix, so it
+    costs n^3 / 3 even at one path.  Where both transfers may run, the
+    window is never cheaper by more than microseconds, so the levels go
+    first.
     """
     eig = eigendecompose_coupling(model)
     steps = len(grid.window_before(t))
-    n, m, d = grid.n_steps, eig.count, model.dim
-    work = _transfer_work(eig, A, d, n)
     depth = None if A.ar1 is None else _certified_depth(
-        *A.ar1, float(np.ptp(eig.eigenvalues)), n, d)
-    if depth is not None:
-        levels = n * m * m * (depth + 1) ** 2 * d * d
-        if work is None or levels < work:
-            work = levels
-        else:
-            depth = None
-    prefixes, pairs, cost = [], 0, 0.0
-    try:
-        # The walk checks both budgets as it goes, before any pair sum.
-        walk = _walk_paths(model, grid, steps if work is None else n, eig)
-        next(walk)  # the empty history
-        for k, (amps, hist) in enumerate(walk, 1):
-            if k <= steps:
-                prefixes.append((amps, hist))
-                pairs += amps.shape[0] ** 2
-                _check_pairs(pairs)
-            cost += amps.shape[0] ** 2 * k
-            if work is not None and cost > work:
-                break
-    except PathBudgetExceeded:
-        if work is None:
-            raise
-        cost = np.inf
-    if work is not None and cost > work:
+        *A.ar1, float(np.ptp(eig.eigenvalues)), grid.n_steps, model.dim)
+    if depth is not None or _window_may_run(eig, A, model.dim):
         return _transfer_states(model, A, grid, eig, steps, depth)
+    prefixes, pairs = [], 0
+    walk = _walk_paths(model, grid, steps, eig)
+    next(walk)  # the empty history
+    for amps, hist in walk:
+        pairs += amps.shape[0] ** 2
+        _check_pairs(pairs)
+        prefixes.append((amps, hist))
     return [_conditional(PathEnsemble(hist, amps, eig.eigenvalues),
                          A.submatrix(range(k)), np.zeros((k, k)), np.zeros(k), range(k))[0]
             for k, (amps, hist) in enumerate(prefixes, 1)]

@@ -93,7 +93,7 @@ def criterion_mean_readout_law(est_bundle) -> dict:
 
 
 def _dephasing_offdiag(eps: float, t: float, rate: float) -> tuple[float, float]:
-    """Path-sum off-diagonal and the exact discrete closed form."""
+    """Reduced-state off-diagonal and the exact discrete closed form."""
     model = dephasing_qubit()
     n = int(round(t / eps))
     grid = TimeGrid(epsilon=eps, n_steps=n)
@@ -116,7 +116,7 @@ def criterion_dephasing_oracle(seed: int) -> dict:
         off, _ = _dephasing_offdiag(eps, t, rate)
         errors.append(abs(off - continuum))
     slopes = [float(np.log2(errors[i] / errors[i + 1])) for i in range(2)]
-    checks = [_check("path sum vs closed form", abs(got - closed), 1e-12)]
+    checks = [_check("reduced state vs closed form", abs(got - closed), 1e-12)]
     for i, s in enumerate(slopes):
         checks.append(_check(f"convergence slope {i + 1} (lower)", s, 0.8, kind="min"))
         checks.append(_check(f"convergence slope {i + 1} (upper)", s, 1.2))

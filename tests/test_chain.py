@@ -305,20 +305,19 @@ def test_transfer_matches_the_path_sum(case, band, default_model, monkeypatch):
 
 @pytest.mark.parametrize("case, transfer", [
     ("qubit-tab", True), ("qubit-exp", True), ("qutrit-exp", True),
-    ("long-exp", False), ("long-tab", True), ("long-7-step-support", False),
-    ("dephasing-0.1", False), ("dephasing-0.05", False), ("dephasing-0.025", False),
-    ("3-sigma-z", False)])
+    ("long-exp", True), ("long-tab", True), ("long-7-step-support", True),
+    ("dephasing-0.1", True), ("dephasing-0.05", True), ("dephasing-0.025", True),
+    ("2-step", True), ("3-sigma-z", False)])
 def test_route_choice(case, transfer, default_model, monkeypatch):
-    # The routes of the benchmark's evolve configs, and a commuting qubit whose
-    # seven-step kernel support fits the block budget but whose two paths make
-    # the pair sum far cheaper than the transfer.  Under the two-step kernel
-    # the commuting qubit's two paths cost sum_k 4k = 29040 on 120 steps, more
-    # than the transfer's 120 * 2^4 * 4 = 7680.  The noncommuting exponential
-    # kernels take the Taylor levels (a depth is passed) at depth 27 (qubit)
-    # and 23 (qutrit); long-exp certifies depth 29, but its two paths cost
-    # less than 120 * 4 * 30^2 * 4 level entries, so they keep the pair sum, as
-    # do those of verify's dephasing grids (t = 0.8), and 3 sigma_z on 10
-    # steps certifies no depth at all.
+    # The routes of the benchmark's evolve configs, verify's dephasing grids
+    # (t = 0.8), a commuting qubit whose seven-step kernel support fits the
+    # block budget, and a 2-step grid on which both transfers may run.  Every
+    # exponential kernel with a certified depth takes the Taylor levels at
+    # that depth, the 2-step grid and the 8-step dephasing grid too, though
+    # their windows fit; the tabulated kernels take the memory window (no
+    # depth is passed), whatever their path counts; and 3 sigma_z on 10 steps
+    # certifies no depth and cannot hold its window, so only it walks the
+    # history tree.  The transfer routes read no walk.
     dephasing = nt.dephasing_qubit(omega=0.7)
     model, kernel, eps, steps = {
         "qubit-tab": (default_model, _tab((0.5, 0.2, 0.0)), 0.1, 11),
@@ -330,17 +329,22 @@ def test_route_choice(case, transfer, default_model, monkeypatch):
         "dephasing-0.1": (nt.dephasing_qubit(), nt.ExponentialKernel(rate=1.0), 0.1, 8),
         "dephasing-0.05": (nt.dephasing_qubit(), nt.ExponentialKernel(rate=1.0), 0.05, 16),
         "dephasing-0.025": (nt.dephasing_qubit(), nt.ExponentialKernel(rate=1.0), 0.025, 32),
+        "2-step": (default_model, nt.ExponentialKernel(rate=1.0), 0.1, 2),
         "3-sigma-z": (_qubit_coupled(3.0), nt.ExponentialKernel(rate=1.0), 0.1, 10),
     }[case]
     grid = nt.TimeGrid(epsilon=eps, n_steps=steps)
     A = nt.build_kernel_matrix(kernel, grid)
+    eig = nt.eigendecompose_coupling(model)
     if case == "long-7-step-support":
-        eig = nt.eigendecompose_coupling(model)
         assert A.bandwidth == 6
-        assert chain._transfer_work(eig, A, model.dim, steps) == steps * 2 ** 14 * 4
-    runs = _routed(model, A, grid, monkeypatch)[1]
-    assert len(runs) == int(transfer)
-    depth = {"qubit-exp": 27, "qutrit-exp": 23}.get(case)
+    if case in ("long-7-step-support", "dephasing-0.1", "2-step"):
+        assert chain._window_may_run(eig, A, model.dim)
+    if transfer:
+        monkeypatch.setattr(chain, "_walk_paths", lambda *_: pytest.fail("the route walked"))
+    states, runs = _routed(model, A, grid, monkeypatch)
+    assert len(states) == steps
+    depth = {"qubit-exp": 27, "qutrit-exp": 23, "long-exp": 30, "dephasing-0.1": 24,
+             "dephasing-0.05": 25, "dephasing-0.025": 25, "2-step": 15}.get(case)
     assert [args[-1] for args in runs] == ([depth] if transfer else [])
 
 
@@ -382,12 +386,12 @@ def test_transfer_guard_refuses_a_large_exponent_bound(default_model):
     A = nt.build_kernel_matrix(_tab((0.5, 0.2, 0.0)), grid)
     for strength, allowed in ((60.0, True), (300.0, False)):
         eig = nt.eigendecompose_coupling(_qubit_coupled(strength))
-        assert (chain._transfer_work(eig, A, 2, 40) is not None) is allowed
+        assert chain._window_may_run(eig, A, 2) is allowed
     # The block array of bandwidth 9 for a qubit holds 2^22 entries.
     grid = nt.TimeGrid(epsilon=0.1, n_steps=12)
     A = nt.build_kernel_matrix(_tab(np.linspace(0.5, 0.05, 10)), grid)
     assert A.bandwidth == 9
-    assert chain._transfer_work(nt.eigendecompose_coupling(default_model), A, 2, 12) is None
+    assert not chain._window_may_run(nt.eigendecompose_coupling(default_model), A, 2)
 
 
 def test_local_exponent_bound_is_the_largest_corner(default_model, monkeypatch):
@@ -403,7 +407,7 @@ def test_local_exponent_bound_is_the_largest_corner(default_model, monkeypatch):
     eig = nt.eigendecompose_coupling(default_model)
     for cap, allowed in ((bound * (1 + 1e-9), True), (bound * (1 - 1e-9), False)):
         monkeypatch.setattr(chain, "_EXPONENT_CAP", cap)
-        assert (chain._transfer_work(eig, A, 2, n) is not None) is allowed
+        assert chain._window_may_run(eig, A, 2) == allowed
 
 
 @pytest.mark.parametrize("strength, steps", [(60.0, 40), (30.0, 300), (10.0, 1000)])
@@ -418,7 +422,7 @@ def test_transfer_matches_an_extended_precision_run(strength, steps, monkeypatch
     A = nt.build_kernel_matrix(kernel, grid)
     model = _qubit_coupled(strength)
     eig = nt.eigendecompose_coupling(model)
-    assert chain._transfer_work(eig, A, 2, steps) is not None
+    assert chain._window_may_run(eig, A, 2)
     double = chain._transfer_states(model, A, grid, eig, steps)
     U = nt.free_step(model, grid.epsilon)
     monkeypatch.setattr(chain, "free_step", lambda *_: U.astype(np.clongdouble))
@@ -484,11 +488,9 @@ def test_taylor_levels_match_the_path_sum(case, default_model, monkeypatch):
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
     routed, runs = _routed(model, A, grid, monkeypatch)
     path_sum = _path_sum(model, A, grid, monkeypatch)
-    # The commuting qubit's two paths keep it on the path sum; the levels are
-    # run on it directly at its certified depth.
-    assert len(runs) == int(case != "dephasing")
+    # The levels are also run directly at the certified depth the route takes.
     depth = _depth_for(model, A, grid)
-    assert depth is not None and [args[-1] for args in runs] in ([], [depth])
+    assert depth is not None and [args[-1] for args in runs] == [depth]
     levels = _levels(model, A, grid, depth)
     assert len(routed) == len(levels) == len(path_sum) == steps
     for rho, forced, ref in zip(routed, levels, path_sum):
@@ -556,8 +558,9 @@ def test_certified_depth_reads_only_the_kernel_and_coupling(rate, eps, steps, st
 def test_truncation_bound_at_extreme_kernels(case, monkeypatch):
     # pytest turns RuntimeWarnings into errors, so none of these may overflow
     # or divide by zero out loud (at rate 1e3, r^k underflows).  A strong
-    # coupling certifies no depth; a slow kernel (r -> 1) certifies a low one
-    # on a short grid and none on a long one; a fast kernel (r -> 0) leaves no
+    # coupling certifies no depth, so its 8-step grid takes the memory window
+    # (no depth is passed); a slow kernel (r -> 1) certifies a low one on a
+    # short grid and none on a long one; a fast kernel (r -> 0) leaves no
     # memory, so depth 0.
     model, rate, steps, depth = {
         "10-sigma-z": (_qubit_coupled(10.0), 1.0, 8, None),
@@ -572,7 +575,7 @@ def test_truncation_bound_at_extreme_kernels(case, monkeypatch):
     assert np.all(np.isfinite(chain._taylor_matrix(20.0, *A.ar1, chain.DEPTH_CAP + 1)))
     if steps <= 8:
         routed, runs = _routed(model, A, grid, monkeypatch)
-        assert [args[-1] for args in runs] == ([] if depth is None else [depth])
+        assert [args[-1] for args in runs] == [depth]
         for rho, ref in zip(routed, _path_sum(model, A, grid, monkeypatch)):
             assert np.max(np.abs(rho.matrix - ref.matrix)) <= 1e-12
 

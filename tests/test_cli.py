@@ -210,12 +210,21 @@ def test_evolve_walks_the_path_tree_once(tmp_path, monkeypatch):
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(chain, "_walk_paths", counting)
-    cfg = _write_config(tmp_path / "cfg.json",
-                        output={"directory": str(tmp_path / "out"), "format": "csv"})
-    assert _run(["evolve", "--config", cfg]) == 0
-    assert walks == [8]
-    _, rows = _read_csv(tmp_path / "out" / "evolve.csv")
-    assert len(rows) == 8
+    # The default config takes the Taylor levels and walks no tree.  At
+    # 3 sigma_z on 10 steps no depth is certified and the window cannot hold
+    # the exponential kernel's bandwidth 9, so the path sum walks once, to t.
+    strong = {"model": {**_ZERO_COUPLING_MODEL,
+                        "coupling": [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-3.0, 0.0]]]},
+              "grid": {"epsilon": 0.1, "n_steps": 10}}
+    for name, blocks, expected, steps in (("default", {}, [], 8), ("strong", strong, [10], 10)):
+        walks.clear()
+        out = tmp_path / name
+        cfg = _write_config(tmp_path / f"{name}.json", **blocks,
+                            output={"directory": str(out), "format": "csv"})
+        assert _run(["evolve", "--config", cfg]) == 0
+        assert walks == expected
+        _, rows = _read_csv(out / "evolve.csv")
+        assert len(rows) == steps
 
 
 def _valid_evolve_states(path, rows_expected):
@@ -318,6 +327,27 @@ def test_evolve_2000_steps_on_an_exponential_kernel(tmp_path, monkeypatch, eps):
     mean, errors = _noise_average(model, *A.ar1, eps, 2000, 20000, seed=2000)
     for part, se in zip((np.real, np.imag), errors):
         assert np.all(np.abs(part(rhos[-1] - mean)) <= 5.0 * se + 1e-15)
+
+
+def test_evolve_4000_dephasing_steps_on_an_exponential_kernel(tmp_path):
+    # The commuting qubit has at most 2 paths, but a path sum would gather a
+    # k x k kernel block for each of its 4000 prefixes; the route reads no
+    # path count and takes the Taylor levels.
+    import time
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", model=_DEPHASING_MODEL,
+                        grid={"epsilon": 0.01, "n_steps": 4000},
+                        output={"directory": str(out), "format": "csv"})
+    start = time.monotonic()
+    assert _run(["evolve", "--config", cfg]) == 0
+    assert time.monotonic() - start < 2.0
+    header, rows = _read_csv(out / "evolve.csv")
+    assert len(rows) == 4000
+    re_col, im_col = (header.index(f"rho_{part}_01 (dimensionless)") for part in ("re", "im"))
+    oracle_col = header.index(
+        "dephasing_oracle_offdiag (dimensionless; commuting two-level models)")
+    assert max(abs(abs(complex(float(row[re_col]), float(row[im_col]))) - float(row[oracle_col]))
+               for row in rows) <= 1e-12
 
 
 def test_evolve_long_grid_at_strong_coupling(tmp_path):
