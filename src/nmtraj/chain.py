@@ -38,9 +38,9 @@ the window's guards read only the kernel, the coupling's spread, the step
 count and the dimension, never a walk or t, so they route long grids.  The
 path sum runs only when neither may, and stays the reference route.
 
-Conventions fixed here and mirrored bit-for-bit by the trajectory solver:
-within one step the free unitary acts first and the detector kick acts at
-the step's right endpoint; windows are left-endpoint, {k : t_k < t}.
+Conventions fixed here (_step_split) and shared by the trajectory solver's
+walk: within one step the free unitary acts first and the detector kick acts
+at the step's right endpoint; windows are left-endpoint, {k : t_k < t}.
 
 Path enumeration prunes branches whose amplitude is exactly zero (this is
 what keeps commuting models O(d) wide at any depth) and refuses, rather than
@@ -135,40 +135,47 @@ class ConditionalState:
     log_weight: float
 
 
+def _step_split(model: ModelSpec, grid: TimeGrid, eig: CouplingEigensystem) -> np.ndarray:
+    """One step on every branch: rows (a, i) of P_a U, the free unitary first
+    and then the kick's projector onto coupling level a, as one m d x d
+    matrix."""
+    U = free_step(model, grid.epsilon)
+    return (eig.projectors @ U).reshape(eig.count * model.dim, model.dim)
+
+
 def _walk_paths(model: ModelSpec, grid: TimeGrid, steps: int, eig: CouplingEigensystem):
     """Walk the history tree one step at a time, yielding the surviving
-    (amplitudes, histories) after 0, 1, ..., steps steps.
+    (amplitudes, histories, parents) after 0, 1, ..., steps steps.
+    ``parents[p]`` is the row, in the previous yield, of history p without
+    its last step (empty for the empty history).
 
     Raises PathBudgetExceeded before a branching step whose branch count
     would pass PATH_BUDGET; exact zero-amplitude branches are dropped.
     """
-    U = free_step(model, grid.epsilon)
+    split = _step_split(model, grid, eig)
     m = eig.count
     amps = model.initial_state[None, :].astype(complex)
     hist = np.zeros((1, 0), dtype=np.int8)
-    yield amps, hist
+    yield amps, hist, np.zeros(0, dtype=np.intp)
     for _ in range(steps):
         if amps.shape[0] * m > PATH_BUDGET:
             raise PathBudgetExceeded(
                 f"{amps.shape[0]} surviving paths x {m} levels exceeds the path budget "
                 f"{PATH_BUDGET}; reduce the step count or Hilbert dimension")
-        evolved = amps @ U.T
-        branches = np.stack([evolved @ eig.projectors[a].T for a in range(m)], axis=1)
-        new_amps = branches.reshape(-1, model.dim)
-        new_hist = np.concatenate(
-            [np.repeat(hist, m, axis=0),
-             np.tile(np.arange(m, dtype=np.int8), amps.shape[0])[:, None]], axis=1)
-        alive = np.einsum("pi,pi->p", new_amps, new_amps.conj()).real > 0.0
-        amps = new_amps[alive]
-        hist = new_hist[alive]
-        yield amps, hist
+        # Branch (p, a), row p m + a, is P_a U applied to history p.
+        branches = (amps @ split.T).reshape(-1, model.dim)
+        alive = np.flatnonzero(np.einsum("pi,pi->p", branches, branches.conj()).real > 0.0)
+        parents, level = divmod(alive, m)
+        amps = branches[alive]
+        hist = np.hstack([hist[parents], level.astype(np.int8)[:, None]])
+        yield amps, hist, parents
 
 
 def build_paths(model: ModelSpec, grid: TimeGrid, window: range) -> PathEnsemble:
     """Enumerate the eigenvalue histories over ``window`` with their vector
     amplitudes, by walking the history tree to the window's end."""
     eig = eigendecompose_coupling(model)
-    for amps, hist in _walk_paths(model, grid, len(window), eig):
+    for amps, hist, _ in _walk_paths(model, grid, len(window), eig):
         pass
     return PathEnsemble(histories=hist, amplitudes=amps, eigenvalues=eig.eigenvalues)
 
@@ -247,9 +254,9 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, M: np.ndarray, h: np.ndar
         psi_g = sum_(a in g) exp(e_a - s_g) v_a,   s_g = max_(a in g) e_a,
         num = sum_gg' exp(s_g + s_g' + K_g.C_SS.K_g') |psi_g><psi_g'|,
 
-    and the cross term is formed as K.A_SS - K.M_SS.  On the whole window
-    each history is its own group (K = X, s_a = e_a, psi_a = v_a), so there
-    the sum is the ungrouped one bit for bit.  It
+    with C_SS formed as (A_w - M)_SS before its one product with K.  On the
+    whole window each history is its own group (K = X, s_a = e_a,
+    psi_a = v_a), so there the sum is the ungrouped one bit for bit.  It
     takes m^(2u) group pairs for m coupling levels and u support steps,
     plus O(P k^2) for the P histories' own exponents; the cross term is
     built one row chunk at a time, so no array spans all group pairs.
@@ -294,13 +301,8 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, M: np.ndarray, h: np.ndar
     (P, d), g = amps.shape, K.shape[0]
     if rank_one is None:
         _check_pairs(g * g)
-    XA, XM = Xs @ A_w, Xs @ M
-    # On the whole window the group sum's cross term is XA - XM; the rank-one
-    # levels read neither, so no P x k product outlives path_log there.
-    cross = XA - XM if K is Xs and rank_one is None else None
-    XA += XM
-    path_log = -0.5 * np.einsum("pk,pk->p", Xs, XA) + Xs @ h
-    del XA, XM
+    # One P x k product beside Xs at a time: this one, then the cross term's.
+    path_log = -0.5 * np.einsum("pk,pk->p", Xs, Xs @ (A_w + M)) + Xs @ h
     if not -np.inf < path_log.max() < np.inf:  # a NaN, a +inf, or every one at -inf
         raise DegenerateState("a chain history has exponent outside the float range; the "
                               "record values are out of the range this path sum can "
@@ -328,8 +330,7 @@ def _conditional(paths: PathEnsemble, A_w: np.ndarray, M: np.ndarray, h: np.ndar
     np.maximum.at(top, group, path_log)
     psi = np.zeros((g, d), dtype=complex)
     np.add.at(psi, group, np.exp(path_log - top[group])[:, None] * amps)
-    if cross is None:
-        cross = K @ A_w[lo:hi, lo:hi] - K @ M[lo:hi, lo:hi]
+    cross = K @ (A_w - M)[lo:hi, lo:hi]
     num = np.zeros((d, d), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = float(np.max(2.0 * top + np.einsum("gk,gk->g", cross, K))) if g else 0.0
@@ -540,12 +541,11 @@ def _transfer_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     Either way each step applies the free unitary on both sides and splits
     every block by the step's projectors P_a . P_b in two matrix products.
     """
-    U = free_step(model, grid.epsilon)
     m, d = eig.count, model.dim
     # Rows (a, i) of P_a U and columns (b, j) of U^dag P_b, so one step's
     # unitary and split of every block are two matrix products.
-    left = (eig.projectors @ U).reshape(m * d, d)
-    right = (U.conj().T @ eig.projectors).transpose(1, 0, 2).reshape(d, m * d)
+    left = _step_split(model, grid, eig)
+    right = left.conj().T
     rho0 = np.outer(model.initial_state, model.initial_state.conj())
     if depth is None:
         band = A.bandwidth
@@ -619,7 +619,7 @@ def reduced_states(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     prefixes, pairs = [], 0
     walk = _walk_paths(model, grid, steps, eig)
     next(walk)  # the empty history
-    for amps, hist in walk:
+    for amps, hist, _ in walk:
         pairs += amps.shape[0] ** 2
         _check_pairs(pairs)
         prefixes.append((amps, hist))

@@ -117,10 +117,13 @@ def _positive_number(obj, path: str) -> float:
     return float(obj)
 
 
-def _whole_steps(time: float, eps: float, path: str) -> int:
-    steps = time / eps
-    _expect(abs(steps - round(steps)) < 1e-9, path, f"must be a multiple of grid.epsilon={eps}")
-    return round(steps)
+def _grid_steps(grid: TimeGrid, time: float, path: str) -> int:
+    """Whole steps before ``time`` on the grid (TimeGrid.steps_of), with its
+    refusal reported against the config field ``path``."""
+    try:
+        return grid.steps_of(time)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_kernel(block: dict):
@@ -215,10 +218,9 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     read_steps = n_steps
     if readout_time is not None:
         readout_time = _positive_number(readout_time, "schedule.t")
-        read_steps = _whole_steps(readout_time, eps, "schedule.t")
-        _expect(read_steps <= n_steps, "schedule.t", "must not exceed the grid length")
+        read_steps = _grid_steps(grid, readout_time, "schedule.t")
     if schedule == "delayed":
-        _expect(_whole_steps(delay, eps, "schedule.delay") < read_steps, "schedule.delay",
+        _expect(_grid_steps(grid, delay, "schedule.delay") < read_steps, "schedule.delay",
                 f"must be under the {read_steps}-step readout time (schedule.t, else run length)")
     else:
         delay = 0.0

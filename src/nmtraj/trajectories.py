@@ -12,21 +12,22 @@ readout density is the Gaussian window prior times |Psi|^2, which is exactly
 of importance-sampling form: the ensemble estimator draws records from the
 prior and weights states by their squared norm.
 
-Step ordering (free unitary first, kick at the right endpoint) and the
-kernel-matrix convention match the detector chain exactly; the chain's
-readout-conditioned state equals Psi Psi^dagger normalized, and that
-agreement is the package's central cross-check.
+The trajectory walks the history tree once, carrying each history's exponent
+from its parent's, so the walk's step convention (free unitary first, kick at
+the right endpoint; chain._step_split) is the detector chain's by
+construction; the chain's readout-conditioned state equals Psi Psi^dagger
+normalized, and that agreement is the package's central cross-check.  The
+exponent is the trajectory's own, read off the kernel column, never the
+chain's precision solves, so the two routes stay independent.
 
 Derivatives of Psi with respect to a readout component are exact path sums
 (differentiation inserts the step's eigenvalue into each path weight); they
-feed both the finite-step residual of the stochastic equation of motion and
-its finite-difference oracle.  The boundary term at the current step is
-fixed by the discrete weight itself: Psi after k steps does not depend on
-z_k, so the equal-time derivative vanishes identically.  The trajectory
-solver and the ensemble read the derivatives along one kernel row b only,
-as Re <Psi | sum_j b_j dPsi/dz_j> = Re <Psi | sum_p w_p (X_p . b) v_p> with
-w_p the path weights, which the evaluator forms beside the states from the
-same block of weights.
+feed the finite-step residual of the stochastic equation of motion and its
+finite-difference oracle.  Psi after k steps does not depend on z_k, so the
+equal-time derivative vanishes.  One kernel row b of them is read as
+Re <Psi | sum_j b_j dPsi/dz_j> = Re <Psi | sum_p w_p (X_p . b) v_p>, with w_p
+the path weights: the trajectory's retarded readout and the ensemble's
+readout-mean law.
 """
 
 from __future__ import annotations
@@ -60,17 +61,15 @@ class Trajectory:
     ``states[k]`` is the unnormalized state after k steps (states[0] is the
     initial state); ``norms[k]`` its norm.  ``retarded[k - 1]`` is the
     retarded readout after k steps: twice the kernel row of step k - 1
-    against the conditional expectations of the record cut after k steps,
-    taken from the same walk as one contraction with that row.  The
-    conditional expectation of the coupling observable attached to step j is
-    the normalized real overlap of the state with its derivative in the
-    step's readout component.  That time-ordered reading is the one under
-    which the readout-mean law is an exact identity of the discrete weights
-    (the bare operator transported to the final time differs at first order
-    in the kernel weights for noncommuting models, and measurably fails the
-    law); for commuting models the two readings coincide.  For the exponential kernel the retarded
-    readout is (eps times) the left-endpoint discretization of
-    rate * integral exp(-rate (t - s)) <X_s> ds.
+    against the conditional expectations of the record cut after k steps.
+    The conditional expectation of the coupling observable attached to step
+    j is the normalized real overlap of the state with its derivative in the
+    step's readout component: the time-ordered reading under which the
+    readout-mean law is an exact identity of the discrete weights (the bare
+    operator transported to the final time differs at first order in the
+    kernel weights for noncommuting models, and measurably fails the law).
+    For the exponential kernel the retarded readout is (eps times) the
+    left-endpoint discretization of rate * integral exp(-rate (t - s)) <X_s> ds.
     """
 
     record: NoiseRecord
@@ -124,49 +123,33 @@ class MeanReadoutComparison:
         return abs(self.difference) / self.difference_se
 
 
-def _path_quad(Xs: np.ndarray, A_w: np.ndarray) -> np.ndarray:
-    """X_a . A_w X_a of every eigenvalue history X_a (row of Xs)."""
-    return np.einsum("pk,pk->p", Xs, Xs @ A_w)
-
-
-def _path_weights(Z: np.ndarray, Xs: np.ndarray, quad: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Direct path weights W_sa = exp(z_s . X_a - X_a . A_w X_a) of every
-    record row z_s of Z and eigenvalue history X_a (row of Xs), from
-    quad = _path_quad(Xs, A_w); written into ``out`` when one is given."""
-    W = np.matmul(Z, Xs.T, out=out)
-    W -= quad[None, :]
-    return np.exp(W, out=W)
-
-
 def _evaluate(Z: np.ndarray, Xs: np.ndarray, amps: np.ndarray, A_w: np.ndarray,
               row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States psi_s = sum_a W_sa v_a of the record rows of Z, and the kernel
-    row's contraction with their weighted couplings,
-
-        sum_j row_j Re <psi_s | d psi_s / d z_j> = Re <psi_s | sum_a W_sa y_a v_a>,
-
-    with y = Xs @ row, so no record is divided by its weight.
+    """The ensemble's batch evaluator: states psi_s = sum_a W_sa v_a of the
+    record rows of Z over one window, and the kernel row's contraction with
+    their weighted couplings, Re <psi_s | sum_a W_sa y_a v_a> with y = Xs @ row,
+    so no record is divided by its weight.
 
     Works in row blocks of at most _WEIGHT_BLOCK weights.  Each block takes
     two real products of its weights, with v and with y v viewed as real
-    (paths x 2 dim): the first is written straight into the states, the
-    second into a buffer reused across blocks, like the weights, since fresh
-    block-sized arrays would go back to the allocator and be faulted in
-    again on every block.
+    (paths x 2 dim), into the states and into a buffer reused across blocks,
+    like the weights: fresh block-sized arrays would be faulted in again on
+    every block.
     """
     v = amps.view(float)
     yv = (Xs @ row)[:, None] * v
     psi = np.empty((Z.shape[0], amps.shape[1]), dtype=complex)
     contraction = np.empty(Z.shape[0])
     rows = max(1, _WEIGHT_BLOCK // amps.shape[0])
-    quad = _path_quad(Xs, A_w)
+    quad = np.einsum("pk,pk->p", Xs, Xs @ A_w)  # X_a . A_w X_a
     weights = np.empty((min(rows, Z.shape[0]), amps.shape[0]))
     phi = np.empty((weights.shape[0], v.shape[1]))
     for lo in range(0, Z.shape[0], rows):
         hi = min(lo + rows, Z.shape[0])
-        W = _path_weights(Z[lo:hi], Xs, quad, out=weights[:hi - lo])
-        block = np.matmul(W, v, out=psi[lo:hi].view(float))
+        # Direct path weights W_sa = exp(z_s . X_a - X_a . A_w X_a).
+        W = np.matmul(Z[lo:hi], Xs.T, out=weights[:hi - lo])
+        W -= quad[None, :]
+        block = np.matmul(np.exp(W, out=W), v, out=psi[lo:hi].view(float))
         # Re <psi|phi> is the real dot product of the two re/im float rows.
         contraction[lo:hi] = np.einsum("sk,sk->s", block, np.matmul(W, yv, out=phi[:hi - lo]))
     return psi, contraction
@@ -177,6 +160,12 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
     """Solve one noise realization over [0, t) by the exact path sum, in one
     walk over the grid that yields every prefix state and its retarded value.
 
+    Each history carries its direct exponent z.X - X.A.X along the walk's
+    parent links: with x = X_(k-1) and y = X . 2 A[k - 1, :k], the kernel row
+    read off A's column, prefix k has log w = log w[parent] + x (z_(k-1) - y +
+    A_00 x), and its retarded value times its squared norm is
+    Re <psi | sum_a w_a y_a v_a>.  That is O(P k) per prefix for P histories.
+
     Raises DegenerateState when a state norm overflows or vanishes.
     """
     window = grid.window_before(t)
@@ -184,26 +173,32 @@ def solve_unnormalized(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: flo
         raise ValueError("expected a readout record on the window [0, t)")
     n = len(window)
     eig = eigendecompose_coupling(model)
-    A_w = A.submatrix(window)
     z = record.values
 
     states = np.empty((n + 1, model.dim), dtype=complex)
-    # Per prefix k >= 1, the retarded readout times the squared norm: the
-    # couplings contracted with the kernel row of step k - 1 (k = 0 has no
-    # row and its value is unused).
-    contractions = np.empty(n + 1)
+    # Per prefix k >= 1, the retarded readout times the squared norm.
+    contractions = np.empty(n)
+    states[0] = model.initial_state
+    walk = _walk_paths(model, grid, n, eig)
+    next(walk)  # the empty history
+    log_w = np.zeros(1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the norms below
-        for k, (amps, hist) in enumerate(_walk_paths(model, grid, n, eig)):
-            row = 2.0 * A_w[k - 1, :k] if k else np.zeros(0)
-            psi, contraction = _evaluate(z[None, :k], eig.eigenvalues[hist.astype(int)], amps,
-                                         A_w[:k, :k], row)
-            states[k] = psi[0]
-            contractions[k] = contraction[0]
+        for k, (amps, hist, parents) in enumerate(walk, 1):
+            Xs = eig.eigenvalues[hist]
+            y = Xs @ (2.0 * A.column[k - 1::-1])
+            x = Xs[:, -1]
+            log_w = log_w[parents] + x * (z[k - 1] - y + A.column[0] * x)
+            w = np.exp(log_w)
+            v = amps.view(float)
+            psi = w @ v
+            # Re <psi|phi> is the real dot product of the two re/im float rows.
+            contractions[k - 1] = psi @ ((w * y) @ v)
+            states[k] = psi.view(complex)
         norms = np.linalg.norm(states, axis=1)
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise DegenerateState("trajectory state norm overflowed or vanished; the record "
                               "values are out of the range this path sum can represent")
-    retarded = contractions[1:] / norms[1:] ** 2
+    retarded = contractions / norms[1:] ** 2
     return Trajectory(record=record, states=states, norms=norms, retarded=retarded)
 
 
@@ -222,7 +217,7 @@ def readout_derivatives(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: fl
     window = grid.window_before(t)
     paths = build_paths(model, grid, window)
     Xs = paths.eigenvalues[paths.histories]
-    w = _path_weights(record.values[None, :], Xs, _path_quad(Xs, A.submatrix(window)))[0]
+    w = np.exp(Xs @ record.values - np.einsum("pk,pk->p", Xs, Xs @ A.submatrix(window)))
     return (Xs * w[:, None]).T @ paths.amplitudes
 
 
@@ -260,8 +255,7 @@ def residual_check(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     fwd = free_step(model, (k + 1) * eps)
     x_heis = fwd.conj().T @ model.coupling @ fwd
 
-    A_w = A.submatrix(window)
-    memory = (A_w[k, :k] @ derivs) if k else np.zeros(model.dim, dtype=complex)
+    memory = A.column[k:0:-1] @ derivs
     memory = back_k @ ((2.0 / eps) * memory)
     residual = ((psi_k1 - psi_k) / eps
                 - (record.values[k] / eps) * (x_heis @ psi_k)

@@ -70,6 +70,24 @@ def test_build_paths_commuting_support():
     assert np.all(paths.histories == paths.histories[:, :1])
 
 
+@pytest.mark.parametrize("case", ["qubit", "dephasing"])
+def test_walk_links_every_history_to_its_parent(case, default_model, grid8):
+    # Each history extends its parent by one level, and its amplitude is that
+    # level's step split applied to the parent's.
+    model = {"qubit": default_model, "dephasing": nt.dephasing_qubit(omega=0.9)}[case]
+    eig = nt.eigendecompose_coupling(model)
+    split = chain._step_split(model, grid8, eig).reshape(eig.count, model.dim, model.dim)
+    walk = chain._walk_paths(model, grid8, 8, eig)
+    prev_amps, prev_hist, parents = next(walk)
+    assert parents.size == 0
+    for amps, hist, parents in walk:
+        assert np.array_equal(hist[:, :-1], prev_hist[parents])
+        branch = split[hist[:, -1]] @ prev_amps[parents][:, :, None]
+        assert np.max(np.abs(amps - branch[:, :, 0])) <= 1e-15
+        prev_amps, prev_hist = amps, hist
+    assert prev_hist.shape == ((256, 8) if case == "qubit" else (2, 8))
+
+
 def test_build_paths_budget(default_model, monkeypatch):
     monkeypatch.setattr(chain, "PATH_BUDGET", 100)
     grid = nt.TimeGrid(epsilon=0.1, n_steps=8)

@@ -201,6 +201,28 @@ def test_trajectory_solves_once(tmp_path, monkeypatch):
     assert calls == [pytest.approx(0.8)]
 
 
+def test_long_dephasing_trajectory(tmp_path):
+    # 4000 steps: each prefix carries its histories' exponents from the last;
+    # re-forming every prefix's exponent over its k x k block took over 10 s.
+    import time
+    values = np.random.default_rng(8).normal(scale=0.007, size=4000)
+    zfile = tmp_path / "z.txt"
+    zfile.write_text("".join(f"{float(v)!r}\n" for v in values))
+    out = tmp_path / "out"
+    model = {**_DEPHASING_MODEL,
+             "hamiltonian": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.7, 0.0]]]}
+    cfg = _write_config(tmp_path / "cfg.json", model=model,
+                        grid={"epsilon": 0.01, "n_steps": 4000},
+                        output={"directory": str(out), "format": "csv"})
+    start = time.monotonic()
+    assert _run(["trajectory", "--config", cfg, "--z-file", str(zfile)]) == 0
+    assert time.monotonic() - start < 2.0
+    header, rows = _read_csv(out / "trajectory.csv")
+    assert len(rows) == 4000
+    ncol = header.index("norm (state norm; dimensionless)")
+    assert all(0.0 < float(row[ncol]) < np.inf for row in rows)
+
+
 def test_evolve_walks_the_path_tree_once(tmp_path, monkeypatch):
     walks = []
     walk = chain._walk_paths

@@ -5,6 +5,7 @@ import nmtraj as nt
 from nmtraj import DensityOperator, NoiseRecord, chain
 from nmtraj.errors import DegenerateState, DegenerateWeights, PathBudgetExceeded
 from nmtraj.kernels import KernelMatrix
+from nmtraj.trajectories import _evaluate
 
 
 def _h0_dephasing():
@@ -424,6 +425,83 @@ def test_one_pass_retarded_matches_readout_derivatives(default_model, A8, grid8)
         row = A8.entries[k - 1, :k]
         scale = 2.0 * np.sum(np.abs(row))
         assert abs(traj.retarded[k - 1] - 2.0 * row @ cond) <= 1e-13 * scale
+
+
+def _prefix_oracle(model, A, grid, rec):
+    """Every prefix's state and retarded value re-evaluated from scratch:
+    the whole direct exponent z.X - X.A.X of each history over the dense
+    k x k block, through the ensemble's evaluator."""
+    n = len(rec.window)
+    dense = A.entries
+    eig = nt.eigendecompose_coupling(model)
+    states, retarded = [model.initial_state], []
+    walk = chain._walk_paths(model, grid, n, eig)
+    next(walk)  # the empty history
+    for k, (amps, hist, _) in enumerate(walk, 1):
+        psi, contraction = _evaluate(rec.values[None, :k], eig.eigenvalues[hist], amps,
+                                     dense[:k, :k], 2.0 * dense[k - 1, :k])
+        states.append(psi[0])
+        retarded.append(contraction[0] / np.vdot(psi[0], psi[0]).real)
+    return np.array(states), np.array(retarded)
+
+
+def _prefix_cases():
+    markov_grid = nt.TimeGrid(epsilon=0.1, n_steps=10)
+    tab_grid = nt.TimeGrid(epsilon=0.05, n_steps=10)
+    tab_kernel = nt.TabulatedKernel(lags=(0.0, 0.05, 0.1), values=(0.5, 0.2, 0.0))
+    long_grid = nt.TimeGrid(epsilon=0.01, n_steps=1000)
+    exp = nt.ExponentialKernel(rate=1.0)
+    return {
+        "qubit-12": (nt.default_qubit(), exp, nt.TimeGrid(epsilon=0.1, n_steps=12)),
+        "qutrit": (_oracle_models()["qutrit"][0], exp, nt.TimeGrid(epsilon=0.1, n_steps=7)),
+        "markov": (nt.default_qubit(), nt.MarkovDeltaKernel(g=1.0), markov_grid),
+        "tabulated": (nt.default_qubit(), tab_kernel, tab_grid),
+        "dephasing-1000": (nt.dephasing_qubit(), exp, long_grid),
+    }
+
+
+@pytest.mark.parametrize("case", ["qubit-12", "qutrit", "markov", "tabulated",
+                                  "dephasing-1000"])
+def test_carried_exponent_matches_per_prefix_evaluation(case):
+    # The exponent carried along the parent links against each prefix's
+    # exponent formed whole: states and norms per prefix, retarded values
+    # against the largest of the column.
+    model, kernel, grid = _prefix_cases()[case]
+    A = nt.build_kernel_matrix(kernel, grid)
+    n = grid.n_steps
+    for rec in nt.sample_readout_prior(A, 2, seed=25):
+        traj = nt.solve_unnormalized(model, A, grid, n * grid.epsilon, rec)
+        states, retarded = _prefix_oracle(model, A, grid, rec)
+        norms = np.linalg.norm(states, axis=1)
+        assert np.max(np.linalg.norm(traj.states - states, axis=1) / norms) <= 1e-12
+        assert np.max(np.abs(traj.norms - norms) / norms) <= 1e-12
+        assert np.max(np.abs(traj.retarded - retarded)) <= 1e-12 * np.max(np.abs(retarded))
+
+
+def test_trajectory_gathers_no_kernel_block(default_model, A8, grid8, monkeypatch):
+    # Kernel rows are read off the column; every dense block goes through
+    # KernelMatrix.block.
+    rec = nt.sample_readout_prior(A8, 1, seed=26)[0]
+    monkeypatch.setattr(KernelMatrix, "block",
+                        lambda *_: pytest.fail("the trajectory gathered a kernel block"))
+    nt.solve_unnormalized(default_model, A8, grid8, 0.8, rec)
+
+
+def test_long_trajectory_memory_is_linear_in_steps():
+    # 2000 dephasing steps: gathering every prefix's k x k block peaked at
+    # 91.6 MiB; carrying the exponent keeps the states and a few histories.
+    import tracemalloc
+    grid = nt.TimeGrid(epsilon=0.01, n_steps=2000)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.0), grid)
+    values = np.random.default_rng(27).normal(scale=np.sqrt(A.column[0]), size=2000)
+    rec = NoiseRecord(window=grid.full_window, values=values)
+    tracemalloc.start()
+    try:
+        nt.solve_unnormalized(nt.dephasing_qubit(), A, grid, 20.0, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("value", [1e308, 1e4, -1e4])
