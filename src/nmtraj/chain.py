@@ -632,9 +632,9 @@ def _guarded(window: range, block: np.ndarray) -> GaussianDensity:
     """GaussianDensity of a k x k block B of the pointer state, or SingularWindow unless
     cond(B) <= CONDITION_CAP (eigvalsh finds B's least eigenvalue lam to ~k u cond(B))
     and the factor L has max |LL^T - B| < INVERSE_RTOL lam.  Then ||LL^T - B||_2 < d lam,
-    d = k INVERSE_RTOL: each solve or log det it serves is exact for a matrix within 1 +- d
-    of B in every direction, so log det S errs by at most k d / (1 - d), and a correction
-    step with an exact residual cuts a solve's error (A_uu norm) by d / (1 - d).
+    d = k INVERSE_RTOL: each solve it serves is exact for a matrix within 1 +- d of B in
+    every direction, and a correction step with an exact residual cuts a solve's error
+    (A_uu norm) by d / (1 - d).  S is only guarded: its log det comes from _log_det.
     """
     density = GaussianDensity(window, block)
     eigs = np.linalg.eigvalsh(block)
@@ -647,6 +647,17 @@ def _guarded(window: range, block: np.ndarray) -> GaussianDensity:
     return density
 
 
+def _log_det(S: np.ndarray) -> float:
+    """log det S of a positive definite S from the pivots of its Cholesky factor,
+    computed in S's own precision (numpy has no extended-precision LAPACK, and
+    there np.dot runs faster than @)."""
+    L = np.zeros_like(S)
+    for j in range(len(S)):
+        L[j, j] = np.sqrt(S[j, j] - np.dot(L[j, :j], L[j, :j]))
+        L[j + 1:, j] = (S[j + 1:, j] - np.dot(L[j + 1:, :j], L[j, :j])) / L[j, j]
+    return 2.0 * float(np.sum(np.log(np.diagonal(L))))
+
+
 def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid, t: float,
                               record: NoiseRecord) -> ConditionalState:
     """State conditioned on raw pointers x read on the window w = [0, t).
@@ -656,8 +667,9 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     the pair terms are M = S and h = 2Sx, and the state is generically mixed.
     y = 2Sx has prior N(0, S) and S^-1 y = 2x, so log p(x) = log N(y; 0, S) +
     log det 2S = -x.y + (log det S - k log(pi/2)) / 2 needs no solve.  The gain
-    A_uu^-1 A_uw takes one correction step, and S and y are summed, in extended
-    precision, keeping the digits that cancel between A_ww and A_wu A_uu^-1 A_uw.
+    A_uu^-1 A_uw takes one correction step; S and y are summed, and log det S is
+    factored, in extended precision, which keeps the digits that cancel between
+    A_ww and A_wu A_uu^-1 A_uw and avoids a float factor's cond(S)-sized rounding.
 
     The unread detectors couple ket and bra histories only through
     C = A_ww - S = A_wu A_uu^-1 A_uw, and _conditional sums only what C
@@ -681,11 +693,12 @@ def conditional_state_pointer(model: ModelSpec, A: KernelMatrix, grid: TimeGrid,
     unread_density = _guarded(unread, A_uu)
     gain = unread_density.precision_apply(A_uw).astype(np.longdouble)
     gain += unread_density.precision_apply((A_uw - A_uu @ gain).astype(float))
-    S = (A_w - A_uw.T @ gain).astype(float)
-    density = _guarded(window, S)
+    S_ext = A_w - A_uw.T @ gain
+    S = S_ext.astype(float)
+    _guarded(window, S)
     y = 2.0 * (S.astype(np.longdouble) @ record.values)
     k = len(window)
-    log_prior = float(-(record.values @ y)) + 0.5 * (density.log_det - k * np.log(0.5 * np.pi))
+    log_prior = float(-(record.values @ y)) + 0.5 * (_log_det(S_ext) - k * np.log(0.5 * np.pi))
     paths = build_paths(model, grid, window)
     support = range(max(0, k - A.bandwidth) if unread else k, k)
     rank_one = None

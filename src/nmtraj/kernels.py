@@ -19,11 +19,12 @@ lattice rule delta(0) -> 1/epsilon, giving A = epsilon * g**2 * I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelBudgetExceeded, NotPositiveDefinite
+from .errors import ConfigError, KernelBudgetExceeded, NotPositiveDefinite
 
 #: Relative tolerance on the smallest eigenvalue of a kernel matrix.
 PSD_RTOL = 1e-12
@@ -190,20 +191,27 @@ class KernelMatrix:
 def build_kernel_matrix(kernel, grid: TimeGrid) -> KernelMatrix:
     """Discretize a memory kernel over the whole grid: one kernel value per lag.
 
-    Raises KernelBudgetExceeded, before any allocation, if the grid's dense
+    Raises ConfigError if the largest entry leaves the floating-point range,
+    KernelBudgetExceeded, before any allocation, if the grid's dense
     matrix would pass KERNEL_ENTRY_BUDGET entries, and NotPositiveDefinite if
     the smallest eigenvalue falls below -PSD_RTOL times the spectral norm (the
     signature of an invalid tabulated kernel).  Markov and exponential
     matrices pass that test in closed form (see _ar1_is_psd) and skip the
     dense eigenvalue check.
     """
+    eps = grid.epsilon
+    # The largest entry, as products (** would raise OverflowError).
+    largest = eps * (kernel.g * kernel.g) if kernel.kind == "markov" else eps * eps * (
+        0.5 * kernel.rate if kernel.kind == "exponential" else max(map(abs, kernel.values)))
+    if not math.isfinite(largest):
+        raise ConfigError("kernel: expected kernel-matrix entries (epsilon^2 alpha, "
+                          "or epsilon g^2 for markov) within the floating-point range")
     window = grid.full_window
     n = len(window)
     if n * n > KERNEL_ENTRY_BUDGET:
         raise KernelBudgetExceeded(
             f"a {n}-step window needs {n * n} kernel entries, over the budget "
             f"{KERNEL_ENTRY_BUDGET}; reduce the step count")
-    eps = grid.epsilon
     ar1 = None
     if kernel.kind == "markov":
         column = np.zeros(n)

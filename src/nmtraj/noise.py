@@ -93,11 +93,6 @@ class GaussianDensity:
     def dim(self) -> int:
         return len(self.window)
 
-    @property
-    def log_det(self) -> float:
-        self._require_definite()
-        return 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
-
     def logpdf(self, values: np.ndarray) -> float:
         self._require_definite()
         if self.dim == 0:

@@ -51,14 +51,16 @@ def _criterion(cid: int, name: str, checks: list[dict]) -> dict:
             "passed": bool(all(c["passed"] for c in checks))}
 
 
-def criterion_readout_equivalence(seed: int) -> dict:
+def criterion_readout_equivalence(seed: int) -> tuple[dict, list]:
     """Chain-conditioned readout states equal the normalized trajectory
-    solutions, record by record, and their log readout densities agree."""
+    solutions, record by record, and their log readout densities agree.
+    Returns the criterion and the conditioned states, which criterion 6 reads."""
     model, grid, A = _default_setup()
     records = noise.sample_readout_prior(A, 100, seed=seed)
-    tds, dlogs = [], []
+    tds, dlogs, states = [], [], []
     for rec in records:
         cond = chain.delayed_state(model, A, grid, _T_FINAL, 0.0, rec)
+        states.append(cond)
         traj = trajectories.solve_unnormalized(model, A, grid, _T_FINAL, rec)
         rho_psi = DensityOperator.from_state(traj.normalized_final_state)
         tds.append(trace_distance(cond.rho, rho_psi))
@@ -66,7 +68,7 @@ def criterion_readout_equivalence(seed: int) -> dict:
     return _criterion(1, "readout-equivalence", [
         _check("max trace distance", max(tds), 1e-10),
         _check("max |d log density|", max(dlogs), 1e-10),
-    ])
+    ]), states
 
 
 def _shared_ensemble(seed: int):
@@ -160,14 +162,9 @@ def criterion_markov_limit(seed: int) -> dict:
     ])
 
 
-def criterion_readout_purity(seed: int) -> dict:
-    """Readout-conditioned states are pure for every record."""
-    model, grid, A = _default_setup()
-    records = noise.sample_readout_prior(A, 100, seed=seed)
-    devs = []
-    for rec in records:
-        cond = chain.delayed_state(model, A, grid, _T_FINAL, 0.0, rec)
-        devs.append(abs(cond.rho.purity - 1.0))
+def criterion_readout_purity(states: list) -> dict:
+    """Readout-conditioned states, criterion 1's, are pure for every record."""
+    devs = [abs(cond.rho.purity - 1.0) for cond in states]
     return _criterion(6, "readout-purity", [
         _check("max |purity - 1|", max(devs), 1e-10),
     ])
@@ -327,7 +324,9 @@ def _run_once(seed: int, timings: dict | None = None) -> list[dict]:
             timings[name] = _time.monotonic() - start
         return result
 
-    results = [timed("readout-equivalence", criterion_readout_equivalence, seed)]
+    equivalence, readout_states = timed("readout-equivalence",
+                                        criterion_readout_equivalence, seed)
+    results = [equivalence]
     start = _time.monotonic()
     bundle = _shared_ensemble(seed)
     results.append(criterion_ensemble_unraveling(bundle))
@@ -336,7 +335,7 @@ def _run_once(seed: int, timings: dict | None = None) -> list[dict]:
     results.append(timed("readout-mean-law", criterion_mean_readout_law, bundle))
     results.append(timed("dephasing-oracle", criterion_dephasing_oracle, seed))
     results.append(timed("markov-limit-and-pointer-purity", criterion_markov_limit, seed))
-    results.append(timed("readout-purity", criterion_readout_purity, seed))
+    results.append(timed("readout-purity", criterion_readout_purity, readout_states))
     results.append(timed("delayed-readout", criterion_delayed_readout, seed))
     results.append(timed("equation-residual", criterion_equation_residual, seed))
     results.append(timed("gaussian-machinery", criterion_gaussian_machinery, seed, bundle))

@@ -752,6 +752,22 @@ def test_pointer_guard_on_a_nearly_singular_kernel(t, rate, accepted, monkeypatc
         assert abs(abs(state.rho.matrix[0, 1]) - rho_01) <= 1e-14
 
 
+@pytest.mark.parametrize("steps, rate", [(2, 1e-4), (3, 1e-4), (2, 1e-5)])
+def test_pointer_log_weight_at_the_grid_end_matches_the_rational_reference(steps, rate):
+    # S = A_ww has cond(S) of 2e6 to 2e7 on these grids; its log det, factored in
+    # extended precision, keeps log_weight within 1e-13 of the exact value
+    # (a float factor was off by up to 1e-11).
+    model = nt.dephasing_qubit(omega=0.7)
+    grid = nt.TimeGrid(epsilon=0.01, n_steps=steps)
+    A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=rate), grid)
+    for seed in (1, 2, 3):
+        x = nt.sample_pointer_prior(A, 1, seed=seed)[0].values
+        rec = NoiseRecord(window=range(steps), values=x, kind="pointer")
+        state = nt.conditional_state_pointer(model, A, grid, 0.01 * steps, rec)
+        log_weight = _exact_dephasing_pointer_state(A, steps, x)[0]
+        assert state.log_weight == pytest.approx(log_weight, rel=1e-13)
+
+
 # ------------------------------------------- raw pointers: what C couples
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -533,6 +534,26 @@ def test_cli_imports_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_package_imports_only_its_runtime_dependencies():
+    # Every import in the package names the standard library or a runtime
+    # dependency of pyproject.toml; test-only packages such as scipy stay out.
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(nt.__file__).resolve().parent
+    with (package.parent.parent / "pyproject.toml").open("rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    allowed = set(sys.stdlib_module_names) | {re.match(r"[\w.-]+", d)[0] for d in dependencies}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
 def test_singular_psd_kernel(tmp_path, capsys):
     # A constant tabulated kernel makes A rank one.  Records are still drawn
     # through the jittered factor; a conditioned state needs the density,
@@ -835,6 +856,28 @@ def test_verify_runs_at_its_default_seed(tmp_path, monkeypatch, argv, seed):
     assert seeds == [seed]
     assert json.loads((out / "manifest.json").read_text())["seed"] == seed
     assert json.loads((out / "verify_report.json").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve"], ["trajectory"], ["ensemble", "--samples", "100"], ["detector"],
+    ["detector", "--schedule", "x-readout"], ["verify"], ["verify", "--config", "CFG"],
+], ids=["evolve", "trajectory", "ensemble", "detector", "x-readout", "verify",
+        "verify-config"])
+def test_each_run_builds_its_kernel_matrix_once(tmp_path, monkeypatch, argv):
+    calls = []
+
+    def counting(kernel, grid):
+        calls.append(grid)
+        return nt.build_kernel_matrix(kernel, grid)
+
+    monkeypatch.setattr(cli, "build_kernel_matrix", counting)
+    monkeypatch.setattr(verify_mod, "run_report",
+                        lambda seed: {"criteria": [], "passed": True, "seed": seed})
+    cfg = _write_config(tmp_path / "cfg.json",
+                        output={"directory": str(tmp_path / "out"), "format": "csv"})
+    argv = [cfg if a == "CFG" else a for a in argv]
+    assert _run([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [nt.TimeGrid(epsilon=0.1, n_steps=8)]
 
 
 def test_manifest_written(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import nmtraj as nt
 from nmtraj import KernelMatrix, kernels
-from nmtraj.errors import NotPositiveDefinite, SingularWindow
+from nmtraj.errors import ConfigError, NotPositiveDefinite, SingularWindow
 from nmtraj.noise import GaussianDensity
 
 
@@ -130,6 +130,18 @@ def test_exponential_entries_past_the_float_range_decay_to_zero():
     A = nt.build_kernel_matrix(nt.ExponentialKernel(rate=1.7e308),
                                nt.TimeGrid(epsilon=0.01, n_steps=200))
     assert np.array_equal(A.entries, A.entries[0, 0] * np.eye(200))
+
+
+@pytest.mark.parametrize("kernel, eps", [
+    (nt.MarkovDeltaKernel(g=1e200), 0.1),
+    (nt.TabulatedKernel(lags=(0.0,), values=(1e308,)), 10.0),
+    (nt.ExponentialKernel(rate=1.0), 1e200),
+], ids=["markov-g", "tabulated-value", "exponential-epsilon"])
+def test_kernel_entries_past_the_float_range_are_a_config_error(kernel, eps):
+    # Library callers get the typed error too: no OverflowError from g ** 2
+    # and no overflow warning (which this suite turns into an exception).
+    with pytest.raises(ConfigError, match="^kernel: expected kernel-matrix entries"):
+        nt.build_kernel_matrix(kernel, nt.TimeGrid(epsilon=eps, n_steps=2))
 
 
 def test_tabulated_kernel_matches_exponential_at_nodes():
